@@ -1,6 +1,6 @@
 # Convenience targets for the repro project.
 
-.PHONY: install test bench bench-smoke bench-json bench-engine-json bench-parallel-json bench-matview-json bench-sharding-json bench-store-json examples lint check-docs trace-smoke serve-smoke matview-smoke store-smoke verify check all
+.PHONY: install test bench bench-smoke bench-selftest bench-json bench-engine-json bench-parallel-json bench-matview-json bench-sharding-json bench-store-json examples lint check-docs trace-smoke serve-smoke matview-smoke store-smoke verify check all
 
 install:
 	pip install -e . --no-build-isolation
@@ -24,6 +24,12 @@ bench-smoke:
 		benchmarks/bench_store.py -q \
 		--benchmark-only --benchmark-disable-gc \
 		--benchmark-min-rounds=1 --benchmark-warmup=off
+
+# Self-test of the serving benchmark (servebench/): every workload
+# briefly, untraced and traced, metric names and units against
+# BENCHMARK.json, and a corrupting server caught as failed reads.
+bench-selftest:
+	python3 servebench/selftest.py
 
 # Full benchmark run exported to JSON, then compared against the
 # committed pre-kernel baseline (median speedups + extra_info
@@ -163,9 +169,9 @@ store-smoke:
 	python scripts/store_smoke.py
 
 # Default local gate: unit tests, static+workload lint, docs links,
-# benchmark smoke, trace smoke, serve smoke, matview smoke, store
-# smoke.
-check: test lint check-docs bench-smoke trace-smoke serve-smoke matview-smoke store-smoke
+# benchmark smoke, serving-benchmark self-test, trace smoke, serve
+# smoke, matview smoke, store smoke.
+check: test lint check-docs bench-smoke bench-selftest trace-smoke serve-smoke matview-smoke store-smoke
 
 verify: test bench examples
 

@@ -104,7 +104,7 @@ class TestPruningLadder:
             times[n_shards] = best_call_time(
                 lambda: source.query(query), repeat=5, rounds=10
             )
-            report = source.last_gather
+            report = sharded_answer.report
             benchmark.extra_info[f"shards_{n_shards}_us"] = round(
                 times[n_shards] * 1e6, 2
             )
@@ -141,10 +141,9 @@ class TestPruningLadder:
         for n_shards in (1, 4, 16):
             source = build_rung(n_shards, n_docs=32)
             oracle = unsharded_oracle(source)
-            assert source.query(query).root.structurally_equal(
-                oracle.query(query).root
-            )
-            assert source.last_gather.pruned == []
+            answer = source.query(query)
+            assert answer.root.structurally_equal(oracle.query(query).root)
+            assert answer.report.pruned == []
             times[n_shards] = best_call_time(
                 lambda: source.query(query), repeat=3, rounds=6
             )

@@ -58,10 +58,9 @@ def main() -> None:
     answer = mediator.materialize_union("journals")
     print(f"  -> answered with {len(answer.root.children)} journal "
           "publications")
-    report = mediator.last_degradation
-    assert report is not None
+    assert answer.degraded
     print()
-    print(report.describe())
+    print(answer.report.describe())
 
     print()
     print("the degraded answer is SOUND — it validates against the")
@@ -96,10 +95,9 @@ def main() -> None:
     mediator.sources["site2"].plan.dead = False
     # ...and after the reset timeout the next call probes half-open
     clock.advance(mediator.policy.breaker.reset_timeout)
-    mediator.materialize_union("journals")
+    answer = mediator.materialize_union("journals")
     print(render_health(mediator.health()))
-    print("\ncomplete answer again:",
-          mediator.last_degradation is None)
+    print("\ncomplete answer again:", not answer.degraded)
 
 
 if __name__ == "__main__":

@@ -56,13 +56,13 @@ def main() -> None:
     answer = mediator.materialize_union(VIEW)
     print(f"cold materialization: {len(answer.root.children)} articles "
           f"from {total_calls(mediator)} wrapper calls "
-          f"({mediator.last_cache_outcome})")
+          f"({answer.cache})")
 
     calls_before = total_calls(mediator)
     again = mediator.materialize_union(VIEW)
     print(f"warm repeat: served the same master answer "
-          f"({mediator.last_cache_outcome}, answer is the same object: "
-          f"{again is answer}) with "
+          f"({again.cache}, answer shares the master's tree: "
+          f"{again.root is answer.root}) with "
           f"{total_calls(mediator) - calls_before} wrapper calls")
 
     print()
@@ -80,7 +80,7 @@ def main() -> None:
           f"{mediator.explain_union(VIEW).cache_status}")
     calls_before = total_calls(mediator)
     maintained = mediator.materialize_union(VIEW)
-    print(f"served by {mediator.last_cache_outcome} maintenance: "
+    print(f"served by {maintained.cache} maintenance: "
           f"re-evaluated only bib0's dirty document, "
           f"{total_calls(mediator) - calls_before} wrapper calls")
     titles = [

@@ -129,8 +129,8 @@ def _cmd_ask(args: argparse.Namespace) -> int:
         degrade=not args.no_degrade,
     )
     print(serialize_document(answer), end="")
-    if mediator.last_degradation is not None:
-        print(mediator.last_degradation.describe(), file=sys.stderr)
+    if answer.degraded:
+        print(answer.report.describe(), file=sys.stderr)
     if args.explain:
         print(
             mediator.explain(client_query, registration.name).describe(),
@@ -239,11 +239,11 @@ def _cmd_trace(args: argparse.Namespace) -> int:
                 clock, policy=policy, n_sources=args.sources
             )
             deadline = mediator.deadline(args.budget)
-            mediator.materialize_union("journals", deadline)
+            answer = mediator.materialize_union("journals", deadline)
         finally:
             obs.uninstall_tracer()
-        if mediator.last_degradation is not None:
-            print(mediator.last_degradation.describe(), file=sys.stderr)
+        if answer.degraded:
+            print(answer.report.describe(), file=sys.stderr)
     else:  # paper
         import random
 

@@ -9,6 +9,7 @@ docs/RELIABILITY.md), testable deterministically with the
 fault-injection harness in :mod:`repro.mediator.faults`.
 """
 
+from ..xmas.engine import Answer
 from .composition import compose_query
 from .faults import ERROR, OK, FaultPlan, FaultSpec, FaultySource, slow
 from .interface import (
@@ -32,9 +33,8 @@ from .mediator import (
     UnionViewRegistration,
     ViewRegistration,
 )
-from .parallel import FanoutPolicy, LegResult, ParallelTransport
+from .parallel import FanoutPolicy, LegResult, ParallelTransport, scatter_gather
 from .sharding import (
-    ShardGatherReport,
     ShardPolicy,
     ShardStats,
     ShardedSource,
@@ -61,6 +61,7 @@ from .transport import (
 )
 
 __all__ = [
+    "Answer",
     "BreakerPolicy",
     "BreakerState",
     "CacheLeg",
@@ -86,7 +87,6 @@ __all__ = [
     "QueryPlan",
     "QueryStats",
     "RetryPolicy",
-    "ShardGatherReport",
     "ShardPolicy",
     "ShardStats",
     "ShardedSource",
@@ -106,6 +106,7 @@ __all__ = [
     "plan_signature",
     "query_signature",
     "render_health",
+    "scatter_gather",
     "simplify_query",
     "slow",
     "structure_tree",

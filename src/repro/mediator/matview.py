@@ -27,10 +27,12 @@ fast-path/re-arm discipline of
 4. **Invalidate** -- anything else (several dirty documents, changed
    document lists, no provenance): drop the entry and recompute.
 
-Served answers are **shared snapshots**: a hit returns the cached
-master document itself rather than a per-hit deep copy (the copy would
-cost more than the recompute it saves on small answers, and dominates
-the hit path on large ones).  This is sound under the model's own
+Served answers are **shared snapshots**: every hit returns the same
+record over the cached master's root (an
+:class:`~repro.xmas.engine.Answer` marked ``"hit"``, built once per
+entry version) rather than a per-hit deep copy (the copy would cost
+more than the recompute it saves on small answers, and dominates the
+hit path on large ones).  This is sound under the model's own
 mutation contract -- edits MUST go through the stamped ``Element``
 APIs -- because an edit to a served answer bumps the global clock, and
 the next probe's re-arm scan covers the master's elements too: a
@@ -64,7 +66,7 @@ from .. import obs
 from ..errors import STALE_DELTA_FALLBACK
 from ..regex import kernel
 from ..xmas import Query, evaluate_many
-from ..xmas.engine import CompiledPlan, PickOrigin, compile_query
+from ..xmas.engine import Answer, CompiledPlan, PickOrigin, compile_query
 from ..xmlmodel import Document
 from ..xmlmodel.element import mutation_stamp
 from ..xmlmodel.index import DocumentIndex, document_index
@@ -194,6 +196,7 @@ class _Entry:
         "view_name",
         "dtd",
         "answer",
+        "served",
         "pick_elems",
         "bytes",
         "built_stamp",
@@ -209,7 +212,7 @@ class _Entry:
         key: tuple,
         view_name: str,
         dtd: Optional["Dtd"],
-        answer: Document,
+        answer: Answer,
         legs: tuple[CacheLeg, ...],
         leg_docs: tuple[tuple[Document, ...], ...],
         docs: list[_DocState],
@@ -220,6 +223,7 @@ class _Entry:
         self.view_name = view_name
         self.dtd = dtd
         self.answer = answer
+        self.served = _served(answer)
         # The master is served by reference, so a caller edit (through
         # the stamped APIs) must be detectable: keep the element set,
         # one tuple per top-level pick so delta maintenance can swap
@@ -239,7 +243,10 @@ class _Entry:
 
     def answer_intact(self) -> bool:
         stamp = self.built_stamp
-        if self.answer.root.mutation_version > stamp:
+        if (
+            self.served.root is not self.answer.root
+            or self.answer.root.mutation_version > stamp
+        ):
             return False
         for elems in self.pick_elems:
             for el in elems:
@@ -257,6 +264,17 @@ class _Entry:
             )
             for state in self.docs
         ]
+
+
+def _served(master: Answer) -> Answer:
+    """The record every hit on ``master`` returns: built once per entry
+    version, so a hit allocates nothing and repeat hits share it."""
+    return Answer(
+        master.root,
+        provenance=master.provenance,
+        report=master.report,
+        cache="hit",
+    )
 
 
 def estimate_bytes(document: Document) -> int:
@@ -312,7 +330,7 @@ class CacheOutcome:
     """
 
     status: str
-    answer: Document | None = None
+    answer: Answer | None = None
     token: _MissToken | None = None
     reason: str = ""
 
@@ -483,7 +501,7 @@ class MatViewCache:
                     sp.set_attribute(
                         "elements", len(entry.answer.root.children)
                     )
-                return CacheOutcome("hit", answer=entry.answer)
+                return CacheOutcome("hit", answer=entry.served)
             if verdict == "delta":
                 assert dirty is not None
                 maintained = self._maintain(entry, dirty)
@@ -553,7 +571,7 @@ class MatViewCache:
 
     def _maintain(
         self, entry: _Entry, dirty: _DocState
-    ) -> Document | None:
+    ) -> Answer | None:
         """Splice one dirty document's fresh picks into the answer.
 
         The master is never edited in place -- answers served from
@@ -578,8 +596,10 @@ class MatViewCache:
             assert isinstance(old, list)
             start, stop = dirty.start, dirty.stop
             spliced = old[:start] + new_children + old[stop:]
-            maintained = Document(
-                Element(entry.answer.root.name, spliced, fresh_id())
+            maintained = Answer(
+                Element(entry.answer.root.name, spliced, fresh_id()),
+                report=entry.answer.report,
+                cache="delta",
             )
             shift = len(new_children) - (stop - start)
             dirty.stop += shift
@@ -606,6 +626,7 @@ class MatViewCache:
                     return None
             dirty.index = document_index(dirty.document)
             entry.answer = maintained
+            entry.served = _served(maintained)
             entry.pick_elems[start:stop] = [
                 tuple(child.iter()) for child in new_children
             ]
@@ -625,7 +646,7 @@ class MatViewCache:
     def store(
         self,
         token: _MissToken,
-        answer: Document,
+        answer: Answer,
         origins_per_leg: Sequence[tuple[PickOrigin, ...] | None],
     ) -> None:
         """Redeem a miss token with the freshly computed answer.

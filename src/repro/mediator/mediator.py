@@ -19,12 +19,7 @@ from dataclasses import dataclass, field
 
 from .. import obs
 from ..dtd import Dtd, SpecializedDtd, validate_document
-from ..errors import (
-    DegradedAnswer,
-    MediatorError,
-    SourceTimeout,
-    SourceUnavailable,
-)
+from ..errors import DegradedAnswer, MediatorError
 from ..inference import (
     Classification,
     InferenceMode,
@@ -32,21 +27,20 @@ from ..inference import (
     infer_view_dtd,
 )
 from ..xmas import CompiledPlan, Query, compile_query, evaluate_many
-from ..xmas.engine import enable_provenance, provenance_of
-from ..xmlmodel import Document
+from ..xmas.engine import Answer, enable_provenance
+from ..xmlmodel import Element, fresh_id
 from .matview import (
     CacheLeg,
     MatViewCache,
     MatViewPolicy,
     query_signature,
 )
-from .parallel import FanoutPolicy, ParallelTransport
+from .parallel import FanoutPolicy, ParallelTransport, scatter_gather
 from .simplifier import SimplifierDecision, simplify_query
 from .source import Source
 from .transport import (
     Clock,
     Deadline,
-    DegradationReport,
     SourceTransport,
     SystemClock,
     TransportPolicy,
@@ -189,14 +183,15 @@ class Mediator:
         #: every registered source; see docs/RELIABILITY.md
         self.policy = policy or TransportPolicy()
         self.clock: Clock = clock or SystemClock()
-        #: parallel union fan-out (None = the legacy sequential loop,
-        #: which later legs' deadline arithmetic depends on — existing
-        #: single-threaded callers keep byte-identical behavior)
+        #: parallel union fan-out; None runs the legs inline on the
+        #: calling thread, in registration order, under policy timeouts
+        #: only (later legs' deadline arithmetic depends on that order)
         self.fanout = fanout
-        self.parallel: ParallelTransport | None = (
-            ParallelTransport(self.clock, fanout)
+        self.parallel = ParallelTransport(
+            self.clock,
+            fanout
             if fanout is not None
-            else None
+            else FanoutPolicy(max_workers=1, cost_aware=False),
         )
         #: the materialized-view answer cache (None = uncached, the
         #: classic re-evaluate-everything mediator); accepts a policy
@@ -217,38 +212,29 @@ class Mediator:
         self.views: dict[str, ViewRegistration] = {}
         self.union_views: dict[str, "UnionViewRegistration"] = {}
         self.stats = QueryStats()
-        #: counter increments on concurrently-served paths (repro.serve
-        #: answers one mediator from many handler threads)
+        #: guards every ``stats`` increment (repro.serve answers one
+        #: mediator from many handler threads)
         self._stats_lock = threading.Lock()
-        #: the diagnostics of the most recent pre-flight (inspection aid)
-        self.last_preflight = None
-        self._tls = threading.local()
-        self._preflight_cache: dict = {}
 
-    @property
-    def last_degradation(self) -> DegradationReport | None:
-        """What this thread's most recent answer left out (None = complete).
+    def _count(self, **deltas: int) -> None:
+        """Bump ``stats`` counters under the lock (no lost increments)."""
+        with self._stats_lock:
+            for name, delta in deltas.items():
+                setattr(self.stats, name, getattr(self.stats, name) + delta)
 
-        Thread-local so concurrent server requests each observe their
-        own request's degradation, not a sibling's; single-threaded
-        callers see the classic "most recent answer" semantics.
-        """
-        return getattr(self._tls, "degradation", None)
-
-    @last_degradation.setter
-    def last_degradation(self, report: DegradationReport | None) -> None:
-        self._tls.degradation = report
-
-    @property
-    def last_cache_outcome(self) -> str:
-        """The matview cache's verdict on this thread's last answer:
-        ``"off"`` (no cache configured), ``"bypass"`` (request opted
-        out, MED006), ``"hit"``, ``"delta"``, or ``"miss"``."""
-        return getattr(self._tls, "cache_outcome", "off")
-
-    @last_cache_outcome.setter
-    def last_cache_outcome(self, outcome: str) -> None:
-        self._tls.cache_outcome = outcome
+    def _cache_status(self, cache: bool) -> str | None:
+        """The cache verdict that needs no probe -- ``"off"`` (no cache
+        configured), ``"disabled"``, or ``"bypass"`` (the request opted
+        out, MED006) -- or None when the cache must be probed."""
+        mv = self.matview
+        if mv is None:
+            return "off"
+        if not mv.policy.enabled:
+            return "disabled"
+        if not cache:
+            mv.note_bypass()
+            return "bypass"
+        return None
 
     # -- administration --------------------------------------------------
 
@@ -278,8 +264,7 @@ class Mediator:
 
     def close(self) -> None:
         """Release the parallel fan-out worker pool (idempotent)."""
-        if self.parallel is not None:
-            self.parallel.close()
+        self.parallel.close()
 
     def health(self) -> dict[str, dict]:
         """Per-source transport health: breaker states, retries, ...
@@ -292,12 +277,6 @@ class Mediator:
             name: transport.health()
             for name, transport in sorted(self.transports.items())
         }
-
-    def _call_source(
-        self, name: str, query: Query, deadline: Deadline | None = None
-    ) -> Document:
-        """One fan-out leg: the source's transport applies the policy."""
-        return self.transports[name].call(query, deadline)
 
     def register_view(self, query: Query, source_name: str | None = None) -> ViewRegistration:
         """Register a view definition; infers its view DTD immediately.
@@ -344,11 +323,11 @@ class Mediator:
 
     def materialize(
         self, view_name: str, deadline: Deadline | None = None
-    ) -> Document:
+    ) -> Answer:
         """Evaluate a view against its source (through the transport)."""
         registration = self._view(view_name)
-        return self._call_source(
-            registration.source_name, registration.query, deadline
+        return self.transports[registration.source_name].call(
+            registration.query, deadline
         )
 
     def preflight(self, query: Query, view_name: str):
@@ -357,21 +336,22 @@ class Mediator:
         Runs the query-scope lint rules (one uncollapsed Tighten run)
         and returns the :class:`~repro.lint.DiagnosticReport`.  An
         error-severity finding (a provably-empty ``MIX101`` dead path)
-        means the mediator can answer without any source fan-out; the
-        run's shared cache is kept so :meth:`query_view` hands the same
-        Tighten result to the simplifier -- pre-flight plus
-        simplification cost one classification, not two.
+        means the mediator can answer without any source fan-out.
         """
+        return self._preflight(query, self._view(view_name))[0]
+
+    def _preflight(self, query: Query, registration: ViewRegistration):
+        """``(report, tightening)``: the pre-flight diagnostics and the
+        Tighten run behind them, handed to the simplifier by value --
+        pre-flight plus simplification cost one classification, not
+        two, and concurrent queries never see each other's run."""
         from ..lint import lint_query
 
-        registration = self._view(view_name)
         cache: dict = {}
         report = lint_query(
             query, registration.dtd, mode=self.mode, cache=cache
         )
-        self.last_preflight = report
-        self._preflight_cache = cache
-        return report
+        return report, cache.get("tighten")
 
     def query_view(
         self,
@@ -383,7 +363,7 @@ class Mediator:
         deadline: Deadline | None = None,
         degrade: bool = True,
         cache: bool = True,
-    ) -> Document:
+    ) -> Answer:
         """Answer a query posed against a mediated view.
 
         With the simplifier on, the view DTD is consulted first: the
@@ -402,160 +382,125 @@ class Mediator:
         * ``"compose"`` -- composition only; raises when not composable;
         * ``"materialize"`` -- always evaluate over the materialized view.
 
-        Source calls go through the fault-tolerant transport under
-        ``deadline`` (a shared budget; see :meth:`deadline`).  When
-        the source fails permanently and ``degrade`` is true, the
-        empty answer is returned instead and ``last_degradation``
-        records the skipped source; ``degrade=False`` propagates the
-        :class:`SourceTimeout` / :class:`SourceUnavailable` instead
-        (docs/RELIABILITY.md).
+        The source call is a one-leg :func:`scatter_gather` through the
+        fault-tolerant transport under ``deadline`` (a shared budget;
+        see :meth:`deadline`).  When the source fails permanently and
+        ``degrade`` is true, the empty answer is returned instead, its
+        report naming the skipped source; ``degrade=False`` propagates
+        the :class:`SourceTimeout` / :class:`SourceUnavailable` instead
+        (docs/RELIABILITY.md).  A degraded answer -- including one a
+        sharded source released partial -- is never cached.
         """
         if strategy not in ("auto", "compose", "materialize"):
             raise MediatorError(f"unknown strategy {strategy!r}")
         registration = self._view(view_name)
-        self.stats.queries += 1
-        self.last_degradation = None
-        effective = query
+        self._count(queries=1)
         run_preflight = use_simplifier if preflight is None else preflight
-        mv = self.matview
+        source_name = registration.source_name
+        status = self._cache_status(cache)
         token = None
-        if mv is not None and mv.policy.enabled:
-            if not cache:
-                self.last_cache_outcome = "bypass"
-                mv.note_bypass()
-            else:
-                key = (
-                    "query",
-                    view_name,
-                    query_signature(query),
-                    use_simplifier,
-                    strategy,
-                    run_preflight,
-                )
-                legs = (
-                    CacheLeg(
-                        registration.source_name,
-                        self.sources[registration.source_name],
-                        None,
-                    ),
-                )
-                outcome = mv.probe(key, view_name, None, legs)
-                if outcome.answer is not None:
-                    self.last_cache_outcome = outcome.status
-                    return outcome.answer
-                self.last_cache_outcome = "miss"
-                token = outcome.token
-        elif mv is not None:
-            self.last_cache_outcome = "disabled"
-        else:
-            self.last_cache_outcome = "off"
+        if status is None:
+            assert self.matview is not None
+            key = (
+                "query",
+                view_name,
+                query_signature(query),
+                use_simplifier,
+                strategy,
+                run_preflight,
+            )
+            legs = (CacheLeg(source_name, self.sources[source_name], None),)
+            outcome = self.matview.probe(key, view_name, None, legs)
+            if outcome.answer is not None:
+                return outcome.answer
+            status, token = "miss", outcome.token
+        effective = query
         tightening = None
         with obs.span("mediator.query_view") as sp:
             sp.set_attribute("view", view_name)
             if run_preflight:
-                report = self.preflight(query, view_name)
-                tightening = self._preflight_cache.get("tighten")
+                report, tightening = self._preflight(query, registration)
                 if report.has_errors:
-                    self.stats.preflight_rejections += 1
-                    self.stats.fanouts_skipped += 1
-                    self.stats.answered_without_source += 1
+                    self._count(
+                        preflight_rejections=1,
+                        fanouts_skipped=1,
+                        answered_without_source=1,
+                    )
                     sp.set_attribute("outcome", "preflight_rejected")
-                    from ..xmlmodel import Element, fresh_id
-
-                    return Document(
-                        Element(query.view_name, [], fresh_id())
+                    return Answer(
+                        Element(query.view_name, [], fresh_id()), cache=status
                     )
             if use_simplifier:
                 decision: SimplifierDecision = simplify_query(
                     query, registration.dtd, self.mode, tightening=tightening
                 )
                 if decision.answer_is_empty:
-                    self.stats.answered_without_source += 1
+                    self._count(answered_without_source=1)
                     sp.set_attribute("outcome", "simplified_empty")
-                    from ..xmlmodel import Element, fresh_id
-
-                    return Document(
-                        Element(query.view_name, [], fresh_id())
+                    return Answer(
+                        Element(query.view_name, [], fresh_id()), cache=status
                     )
-                self.stats.conditions_pruned += decision.pruned_nodes
+                self._count(conditions_pruned=decision.pruned_nodes)
                 effective = decision.query
-            try:
-                if strategy in ("auto", "compose"):
-                    from .composition import compose_query
+            composed = None
+            if strategy in ("auto", "compose"):
+                from .composition import compose_query
 
-                    source = self.sources[registration.source_name]
-                    composed = compose_query(
-                        registration.query, effective, source.dtd
+                composed = compose_query(
+                    registration.query,
+                    effective,
+                    self.sources[source_name].dtd,
+                )
+                if composed is None and strategy == "compose":
+                    raise MediatorError(
+                        "query is not composable with the view definition"
                     )
-                    if composed is not None:
-                        self.stats.composed += 1
-                        sp.set_attribute("outcome", "composed")
-                        answer = self._call_source(
-                            registration.source_name, composed, deadline
-                        )
-                        if token is not None:
-                            # A composed source query re-runs cleanly
-                            # over a single document: delta-capable.
-                            assert mv is not None
-                            token.legs = (
-                                CacheLeg(
-                                    registration.source_name,
-                                    self.sources[registration.source_name],
-                                    composed,
-                                ),
-                            )
-                            mv.store(
-                                token, answer, [provenance_of(answer)]
-                            )
-                        return answer
-                    if strategy == "compose":
-                        raise MediatorError(
-                            "query is not composable with the view definition"
-                        )
-                sp.set_attribute("outcome", "materialized")
-                materialized = self.materialize(view_name, deadline)
-                answer = evaluate_many(effective, [materialized])
-                if token is not None:
-                    # The answer's provenance points at the transient
-                    # materialized view, not at source documents, so
-                    # this entry is recompute-only.
-                    assert mv is not None
-                    mv.store(token, answer, [None])
-                return answer
-            except (SourceTimeout, SourceUnavailable) as error:
+            if composed is not None:
+                self._count(composed=1)
+            leg_query = registration.query if composed is None else composed
+            sp.set_attribute(
+                "outcome", "materialized" if composed is None else "composed"
+            )
+            gathered, (leg,) = scatter_gather(
+                self.parallel,
+                [(self.transports[source_name], leg_query)],
+                deadline,
+                leg_query.view_name,
+            )
+            if leg.error is not None:
                 if not degrade:
-                    raise
+                    raise leg.error
                 sp.set_attribute("outcome", "degraded")
                 sp.add_event(
-                    "degraded",
-                    source=registration.source_name,
-                    code=error.code,
+                    "degraded", source=source_name, code=leg.error.code
                 )
-                return self._degraded_empty_answer(
-                    query.view_name, registration.source_name, error
+            if composed is None:
+                answer = evaluate_many(effective, [gathered])
+                answer.report = gathered.report
+            else:
+                answer = gathered
+            if answer.degraded:
+                self._count(degraded_answers=1)
+            elif token is not None:
+                assert self.matview is not None and leg.answer is not None
+                if composed is not None:
+                    # A composed source query re-runs cleanly over a
+                    # single document: delta-capable.
+                    token.legs = (
+                        CacheLeg(
+                            source_name, self.sources[source_name], composed
+                        ),
+                    )
+                # A materialized answer's provenance points at the
+                # transient view, not at source documents: that entry
+                # is recompute-only.
+                self.matview.store(
+                    token,
+                    answer,
+                    [leg.answer.provenance if composed is not None else None],
                 )
-
-    def _degraded_empty_answer(
-        self, answer_name: str, source_name: str, error: MediatorError
-    ) -> Document:
-        """The degraded answer when a view's only source is down.
-
-        A single-source view has nothing partial to offer, so the
-        degraded answer is empty; the annotation (which source was
-        skipped and why) is the point.  Ad-hoc client answers carry no
-        published DTD, so there is nothing to validate here — view
-        materializations go through the validating union path instead.
-        """
-        from ..xmlmodel import Element, fresh_id
-
-        report = DegradationReport(
-            view_name=answer_name,
-            skipped={source_name: f"{error.code}: {error}"},
-        )
-        with self._stats_lock:
-            self.stats.degraded_answers += 1
-        self.last_degradation = report
-        return Document(Element(answer_name, [], fresh_id()))
+            answer.cache = status
+            return answer
 
     def as_source(self, view_name: str) -> Source:
         """Export a view as a source for a higher-level mediator.
@@ -760,27 +705,29 @@ class Mediator:
         deadline: Deadline | None = None,
         degrade: bool = True,
         cache: bool = True,
-    ) -> Document:
+    ) -> Answer:
         """Evaluate a union view across its sources (fault-tolerant).
 
-        Each branch is one fan-out leg through its source's transport;
-        all legs share ``deadline``.  With a :class:`FanoutPolicy`
-        configured the legs run concurrently on the mediator's
+        Each branch is one leg of a :func:`scatter_gather` through its
+        source's transport; all legs share ``deadline``.  With a
+        :class:`FanoutPolicy` configured the legs run concurrently on
+        the mediator's
         :class:`~repro.mediator.parallel.ParallelTransport` — a union
         over N sources costs the max, not the sum, of their latencies —
-        otherwise they run in the legacy sequential loop.  Either way
-        the answer (picks in branch order), the degradation report,
-        and the ``degrade=False`` error (the first failing branch in
-        branch order) are the same.
+        otherwise inline, in branch order.  Either way the answer
+        (picks in branch order), its report, and the ``degrade=False``
+        error (the first failing branch in branch order) are the same.
 
         When a leg fails permanently and ``degrade`` is true, its
         branch is skipped and the *partial* answer — the surviving
-        branches' picks, in branch order — is returned, annotated in
-        ``last_degradation``.  The partial answer is validated against
-        the inferred union view DTD first: if dropping the branch
-        would make the answer violate the view DTD the mediator raises
-        :class:`DegradedAnswer` rather than return an unsound document
-        (the soundness argument is spelled out in
+        branches' picks, in branch order — is returned, its report
+        naming the skipped source.  A sharded source that released a
+        partial gather counts the same way: its skipped shards are
+        lifted into the report under ``MED008``.  A degraded answer is
+        validated against the inferred union view DTD first: if
+        dropping the leg would make the answer violate the view DTD the
+        mediator raises :class:`DegradedAnswer` rather than return an
+        unsound document (the soundness argument is spelled out in
         docs/RELIABILITY.md).
 
         With a configured :class:`MatViewCache` (``Mediator(cache=...)``),
@@ -788,93 +735,50 @@ class Mediator:
         from the cache without touching any source, and a mutation
         localized to one source document is delta-spliced instead of
         recomputed; ``cache=False`` bypasses the cache for this one
-        request (``MED006``).  Degraded answers are never cached.  See
-        docs/PERFORMANCE.md.
+        request (``MED006``).  The answer's ``cache`` field says which.
+        Degraded answers are never cached.  See docs/PERFORMANCE.md.
         """
-        from ..xmlmodel import Element, fresh_id
-
         registration = self._union_view(view_name)
-        self.last_degradation = None
-        mv = self.matview
+        status = self._cache_status(cache)
         token = None
-        if mv is not None and mv.policy.enabled:
-            if not cache:
-                self.last_cache_outcome = "bypass"
-                mv.note_bypass()
-            else:
-                outcome = mv.probe(
-                    self._union_cache_key(registration),
-                    view_name,
-                    registration.dtd,
-                    self._union_cache_legs(registration),
-                )
-                if outcome.answer is not None:
-                    self.last_cache_outcome = outcome.status
-                    return outcome.answer
-                self.last_cache_outcome = "miss"
-                token = outcome.token
-        elif mv is not None:
-            self.last_cache_outcome = "disabled"
-        else:
-            self.last_cache_outcome = "off"
-        report = DegradationReport(view_name=view_name)
-        picks: list = []
-        first_error: MediatorError | None = None
-        legs = list(
-            zip(registration.branches, registration.source_names)
-        )
-        use_parallel = self.parallel is not None and len(legs) > 1
+        if status is None:
+            assert self.matview is not None
+            outcome = self.matview.probe(
+                self._union_cache_key(registration),
+                view_name,
+                registration.dtd,
+                self._union_cache_legs(registration),
+            )
+            if outcome.answer is not None:
+                return outcome.answer
+            status, token = "miss", outcome.token
         with obs.span("mediator.materialize_union") as sp:
             sp.set_attribute("view", view_name)
             sp.set_attribute("sources", len(registration.source_names))
-            sp.set_attribute(
-                "fanout", "parallel" if use_parallel else "sequential"
-            )
-            if use_parallel:
-                results = self.parallel.fan_out(
-                    [
-                        (self.transports[source_name], branch.query)
-                        for branch, source_name in legs
-                    ],
-                    deadline,
-                )
-                outcomes = [
-                    (source_name, result.answer, result.error)
-                    for (_, source_name), result in zip(legs, results)
-                ]
-            else:
-                outcomes = []
-                for branch, source_name in legs:
-                    try:
-                        answer = self._call_source(
-                            source_name, branch.query, deadline
-                        )
-                    except (SourceTimeout, SourceUnavailable) as error:
-                        if not degrade:
-                            raise
-                        outcomes.append((source_name, None, error))
-                        continue
-                    outcomes.append((source_name, answer, None))
-            for source_name, answer, error in outcomes:
-                if error is not None:
-                    if not degrade:
-                        raise error
-                    if first_error is None:
-                        first_error = error
-                    report.skipped[source_name] = f"{error.code}: {error}"
-                    sp.add_event(
-                        "leg.skipped", source=source_name, code=error.code
+            answer, results = scatter_gather(
+                self.parallel,
+                [
+                    (self.transports[source_name], branch.query)
+                    for branch, source_name in zip(
+                        registration.branches, registration.source_names
                     )
-                    continue
-                report.answered.append(source_name)
-                picks.extend(answer.root.children)
-            document = Document(Element(view_name, picks, fresh_id()))
+                ],
+                deadline,
+                view_name,
+            )
+            report = answer.report
+            assert report is not None
+            first_error = next(
+                (r.error for r in results if r.error is not None), None
+            )
+            if first_error is not None and not degrade:
+                raise first_error
             sp.set_attribute("degraded", report.degraded)
             sp.set_attribute("answered", len(report.answered))
             sp.set_attribute("skipped", len(report.skipped))
             if report.degraded:
                 report.answer_valid = validate_document(
-                    document, registration.dtd
+                    answer, registration.dtd
                 ).ok
                 sp.set_attribute("answer_valid", report.answer_valid)
                 if not report.answer_valid:
@@ -882,23 +786,19 @@ class Mediator:
                         f"view {view_name!r}: skipping "
                         f"{sorted(report.skipped)} leaves an answer that "
                         "violates the inferred view DTD; refusing to degrade",
-                        document=document,
+                        document=answer,
                         report=report,
                     ) from first_error
-                with self._stats_lock:
-                    self.stats.degraded_answers += 1
-                self.last_degradation = report
-            if token is not None and not report.skipped:
-                assert mv is not None
-                mv.store(
+                self._count(degraded_answers=1)
+            elif token is not None:
+                assert self.matview is not None
+                self.matview.store(
                     token,
-                    document,
-                    [
-                        provenance_of(answer)
-                        for _, answer, _ in outcomes
-                    ],
+                    answer,
+                    [result.answer.provenance for result in results],
                 )
-        return document
+        answer.cache = status
+        return answer
 
     def _union_view(self, view_name: str) -> "UnionViewRegistration":
         try:

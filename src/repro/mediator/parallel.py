@@ -1,13 +1,23 @@
-"""Parallel source fan-out: a union pays max, not sum, of latencies.
+"""Source fan-out and the one scatter-gather behind unions and shards.
 
-The sequential fan-out in :class:`~repro.mediator.mediator.Mediator`
-calls each union branch's transport in turn under one shared
-:class:`~repro.mediator.transport.Deadline`; N sources cost the *sum*
+Called one after another under one shared
+:class:`~repro.mediator.transport.Deadline`, N sources cost the *sum*
 of their latencies.  This module dispatches the legs on a bounded
 worker pool so they cost the *max* — the single largest hot-path win
 left after compilation and indexing (see ``BENCH_PR7.json``).
+A mediator without a :class:`FanoutPolicy` runs the same code inline,
+one leg after another in registration order, under policy timeouts
+only.
 
-Three properties the sequential path had are preserved:
+:func:`scatter_gather` is the gather both a union view
+(:meth:`Mediator.materialize_union
+<repro.mediator.mediator.Mediator.materialize_union>`) and a sharded
+source (:class:`~repro.mediator.sharding.ShardedSource`) run: fan-out,
+skip bookkeeping and the leg-order merge, returned as one
+:class:`~repro.xmas.engine.Answer` whose report says what every leg
+did.
+
+Three properties of calling the legs one after another are preserved:
 
 * **Determinism under** :class:`~repro.mediator.transport.FakeClock`.
   The fake clock doubles as a virtual-time scheduler (workers park on
@@ -45,10 +55,17 @@ from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
 from .. import obs
-from ..errors import SourceTimeout, SourceUnavailable
+from ..errors import PARTIAL_SHARD_GATHER, SourceTimeout, SourceUnavailable
 from ..xmas import Query
-from ..xmlmodel import Document
-from .transport import Clock, Deadline, SourceTransport, SystemClock
+from ..xmas.engine import Answer
+from ..xmlmodel import Element, fresh_id
+from .transport import (
+    Clock,
+    Deadline,
+    DegradationReport,
+    SourceTransport,
+    SystemClock,
+)
 
 
 @dataclass(frozen=True)
@@ -76,7 +93,7 @@ class LegResult:
     """One fan-out leg's outcome, in the caller's original leg order."""
 
     source: str
-    answer: Document | None = None
+    answer: Answer | None = None
     error: Exception | None = None
     #: seconds this leg spent in its transport call (clock time)
     elapsed: float = 0.0
@@ -122,9 +139,11 @@ class ParallelTransport:
         self.policy = policy or FanoutPolicy()
         self._executor: ThreadPoolExecutor | None = None
         self._executor_lock = threading.Lock()
-        #: fan-outs dispatched in parallel / answered inline
+        #: fan-outs dispatched in parallel / answered inline (bumped
+        #: under ``_count_lock``: serve handler threads fan out at once)
         self.parallel_fanouts = 0
         self.inline_fanouts = 0
+        self._count_lock = threading.Lock()
 
     # -- cost model ------------------------------------------------------
 
@@ -185,12 +204,14 @@ class ParallelTransport:
             # worker-pool of one, or a nested fan-out from inside a
             # worker (stacked mediators, sharded-source gathers): run
             # inline — no threads, no pool, just the cost model.
-            self.inline_fanouts += 1
+            with self._count_lock:
+                self.inline_fanouts += 1
             return [
                 self._run_leg(transport, query, deadline)
                 for transport, query in legs
             ]
-        self.parallel_fanouts += 1
+        with self._count_lock:
+            self.parallel_fanouts += 1
         order = self.dispatch_order(legs)
         results: list[LegResult | None] = [None] * len(legs)
         work: deque = deque()
@@ -289,3 +310,40 @@ class ParallelTransport:
     def __exit__(self, exc_type, exc, tb) -> bool:
         self.close()
         return False
+
+
+def scatter_gather(
+    fanout: ParallelTransport,
+    legs: list[tuple[SourceTransport, Query]],
+    deadline: Deadline | None,
+    name: str,
+) -> tuple[Answer, list[LegResult]]:
+    """Fan ``legs`` out, then merge their picks in leg order.
+
+    Returns the merged answer (root ``name``, no provenance) and the
+    per-leg results in leg order.  The answer's report names every leg
+    that answered or was skipped -- a failed leg is recorded with its
+    diagnostic code, never raised: the caller decides whether a skip is
+    fatal.  A leg whose own answer carries a report (a sharded source)
+    is kept in ``nested``, and its skips are lifted under the shard's
+    name with ``MED008``, so a skip at any depth degrades the answer.
+    """
+    results = fanout.fan_out(legs, deadline)
+    report = DegradationReport(view_name=name)
+    picks: list[Element] = []
+    for result in results:
+        error = result.error
+        if error is not None:
+            report.skipped[result.source] = f"{error.code}: {error}"
+            obs.event("leg.skipped", source=result.source, code=error.code)
+            continue
+        answer = result.answer
+        assert answer is not None
+        report.answered.append(result.source)
+        picks.extend(answer.root.children)
+        nested = answer.report
+        if nested is not None:
+            report.nested[result.source] = nested
+            for leg, reason in nested.skipped.items():
+                report.skipped[leg] = f"{PARTIAL_SHARD_GATHER}: {reason}"
+    return Answer(Element(name, picks, fresh_id()), report=report), results

@@ -47,11 +47,12 @@ merge — and therefore every trace and counter — is run-identical
 under :class:`~repro.mediator.transport.FakeClock`).  When a shard
 fails permanently, ``ShardPolicy.partial`` decides between failing the
 logical call (the default — the outer transport's retry policy then
-re-gathers) and releasing the surviving shards' merged answer
-annotated with diagnostic ``MED008`` (:class:`ShardGatherReport`,
-``last_gather``).
+re-gathers) and releasing the surviving shards' merged answer, whose
+:class:`~repro.mediator.transport.DegradationReport` names the
+skipped shards; the mediator lifts them into the view answer under
+diagnostic ``MED008``, validates it and never caches it.
 
-The merged answer re-registers engine pick provenance with document
+The merged answer carries engine pick provenance with document
 ordinals shifted into the logical document list, so the materialized-
 view cache (:mod:`repro.mediator.matview`) keys entries by per-shard
 document identity and a mutation in one shard is delta-maintained
@@ -67,7 +68,7 @@ from __future__ import annotations
 
 import threading
 import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .. import obs
 from ..dtd import Dtd, Pcdata, validate_document
@@ -76,20 +77,14 @@ from ..errors import PARTIAL_SHARD_GATHER, ShardConfigError
 from ..regex import is_subset
 from ..regex import kernel
 from ..xmas import Query
-from ..xmas.engine import (
-    CompiledPlan,
-    PickOrigin,
-    compile_query,
-    provenance_enabled,
-    provenance_of,
-    record_provenance,
-)
+from ..xmas.engine import Answer, CompiledPlan, PickOrigin, compile_query
 from ..xmlmodel import Document, Element, fresh_id
-from .parallel import FanoutPolicy, ParallelTransport
+from .parallel import FanoutPolicy, LegResult, ParallelTransport, scatter_gather
 from .source import Source
 from .transport import (
     Clock,
     Deadline,
+    DegradationReport,
     SourceTransport,
     SystemClock,
     TransportPolicy,
@@ -120,24 +115,6 @@ class ShardPolicy:
     partial: bool = False
     gather_budget: float | None = None
     check_fragments: bool = True
-
-
-@dataclass
-class ShardGatherReport:
-    """What one sharded gather did (``ShardedSource.last_gather``)."""
-
-    source: str
-    #: shard names that answered, in shard order
-    answered: list[str] = field(default_factory=list)
-    #: shard name -> "CODE: reason" for permanently failed shards
-    skipped: dict[str, str] = field(default_factory=dict)
-    #: shard names pruned statically (never called), in shard order
-    pruned: list[str] = field(default_factory=list)
-
-    @property
-    def partial(self) -> bool:
-        """Did the released answer drop a failed shard (``MED008``)?"""
-        return bool(self.skipped)
 
 
 @dataclass
@@ -396,7 +373,6 @@ class ShardedSource(Source):
         ]
         self.stats = ShardStats()
         self._stats_lock = threading.Lock()
-        self._tls = threading.local()
         _LIVE_SHARDED.add(self)
 
     # -- Source surface --------------------------------------------------
@@ -409,15 +385,6 @@ class ShardedSource(Source):
             for shard in self.shards
             for document in shard.documents
         ]
-
-    @property
-    def last_gather(self) -> ShardGatherReport | None:
-        """This thread's most recent gather report (None before any)."""
-        return getattr(self._tls, "gather", None)
-
-    @last_gather.setter
-    def last_gather(self, report: ShardGatherReport | None) -> None:
-        self._tls.gather = report
 
     def add_document(
         self, document: Document, shard: str | None = None
@@ -481,15 +448,18 @@ class ShardedSource(Source):
 
     # -- the gather --------------------------------------------------------
 
-    def query(self, query: Query) -> Document:
-        """Prune, scatter surviving shards, gather, merge in shard order."""
+    def query(self, query: Query) -> Answer:
+        """Prune, scatter surviving shards, gather, merge in shard order.
+
+        The answer's report names the answered, pruned and (in partial
+        mode) skipped shards.
+        """
         with self._stats_lock:
             self.queries_served += 1
             self.stats.queries += 1
-        self.last_gather = None
-        report = ShardGatherReport(source=self.name)
         plan = compile_query(query)
         survivors: list[int] = []
+        pruned: list[str] = []
         with obs.span("shard.prune") as sp:
             sp.set_attribute("source", self.name)
             sp.set_attribute("shards", len(self.shards))
@@ -499,16 +469,21 @@ class ShardedSource(Source):
                 ):
                     survivors.append(index)
                 else:
-                    report.pruned.append(shard.name)
-            sp.set_attribute("pruned", len(report.pruned))
+                    pruned.append(shard.name)
+            sp.set_attribute("pruned", len(pruned))
             sp.set_attribute("survivors", len(survivors))
         with self._stats_lock:
-            self.stats.shards_pruned += len(report.pruned)
+            self.stats.shards_pruned += len(pruned)
             if not survivors:
                 self.stats.all_pruned += 1
         if not survivors:
-            self.last_gather = report
-            return self._empty_answer(query)
+            # An all-pruned answer has provably no picks; the empty
+            # origin tuple keeps matview entries delta-capable.
+            return Answer(
+                Element(query.view_name, [], fresh_id()),
+                provenance=(),
+                report=DegradationReport(query.view_name, pruned=pruned),
+            )
         deadline = (
             Deadline.after(self.clock, self.policy.gather_budget)
             if self.policy.gather_budget is not None
@@ -517,76 +492,58 @@ class ShardedSource(Source):
         with obs.span("shard.gather") as sp:
             sp.set_attribute("source", self.name)
             sp.set_attribute("legs", len(survivors))
-            results = self.parallel.fan_out(
+            merged, results = scatter_gather(
+                self.parallel,
                 [(self.transports[index], query) for index in survivors],
                 deadline,
+                query.view_name,
+            )
+            report = merged.report
+            assert report is not None
+            report.pruned = pruned
+            errors = [r.error for r in results if r.error is not None]
+            released = (
+                bool(errors) and self.policy.partial and bool(report.answered)
             )
             with self._stats_lock:
                 self.stats.shards_called += len(survivors)
-            picks: list[Element] = []
-            origins: list[PickOrigin] | None = (
-                [] if provenance_enabled() else None
-            )
-            offsets = self._document_offsets()
-            first_error: Exception | None = None
-            failures = 0
-            for index, result in zip(survivors, results):
-                shard_name = self.shards[index].name
-                if result.error is not None:
-                    failures += 1
-                    if not self.policy.partial:
-                        with self._stats_lock:
-                            self.stats.shard_failures += failures
-                        raise result.error
-                    if first_error is None:
-                        first_error = result.error
-                    report.skipped[shard_name] = (
-                        f"{result.error.code}: {result.error}"
-                    )
-                    sp.add_event(
-                        "shard.skipped",
-                        shard=shard_name,
-                        code=result.error.code,
-                    )
-                    continue
-                report.answered.append(shard_name)
-                answer = result.answer
-                assert answer is not None
-                picks.extend(answer.root.children)
-                if origins is not None:
-                    shard_origins = provenance_of(answer)
-                    if shard_origins is None:
-                        origins = None
-                    else:
-                        base = offsets[index]
-                        origins.extend(
-                            PickOrigin(base + o.doc, o.pos, o.end)
-                            for o in shard_origins
-                        )
-            with self._stats_lock:
-                self.stats.shard_failures += failures
-            if report.skipped and not report.answered:
-                # Partial mode with nothing gathered: there is no
-                # partial answer to offer, so the logical call fails
-                # like an unsharded source would.
-                assert first_error is not None
-                raise first_error
-            if report.skipped:
-                with self._stats_lock:
+                self.stats.shard_failures += len(errors)
+                if released:
                     self.stats.partial_gathers += 1
-                sp.add_event(
-                    "partial_gather", code=PARTIAL_SHARD_GATHER
-                )
-            sp.set_attribute("failed", failures)
-            sp.set_attribute("partial", bool(report.skipped))
-            sp.set_attribute("picks", len(picks))
-            merged = Document(
-                Element(query.view_name, picks, fresh_id())
-            )
-            if origins is not None:
-                record_provenance(merged, tuple(origins))
-        self.last_gather = report
+            if errors and not released:
+                # Not partial, or partial with nothing gathered: there
+                # is no partial answer to offer, so the logical call
+                # fails like an unsharded source would.
+                raise errors[0]
+            if released:
+                sp.add_event("partial_gather", code=PARTIAL_SHARD_GATHER)
+            sp.set_attribute("failed", len(errors))
+            sp.set_attribute("partial", released)
+            sp.set_attribute("picks", len(merged.root.children))
+            merged.provenance = self._shifted_provenance(survivors, results)
         return merged
+
+    def _shifted_provenance(
+        self, survivors: list[int], results: list[LegResult]
+    ) -> tuple[PickOrigin, ...] | None:
+        """The shards' pick origins with ``doc`` ordinals shifted into
+        the logical concatenated document list (None when any
+        answering shard recorded none)."""
+        origins: list[PickOrigin] = []
+        offsets = None
+        for index, result in zip(survivors, results):
+            if result.answer is None:
+                continue
+            shard_origins = result.answer.provenance
+            if shard_origins is None:
+                return None
+            if offsets is None:
+                offsets = self._document_offsets()
+            base = offsets[index]
+            origins.extend(
+                PickOrigin(base + o.doc, o.pos, o.end) for o in shard_origins
+            )
+        return tuple(origins)
 
     def _document_offsets(self) -> list[int]:
         """Per shard: the ordinal of its first document in the logical
@@ -597,14 +554,6 @@ class ShardedSource(Source):
             offsets.append(base)
             base += len(shard.documents)
         return offsets
-
-    def _empty_answer(self, query: Query) -> Document:
-        answer = Document(Element(query.view_name, [], fresh_id()))
-        if provenance_enabled():
-            # An all-pruned answer has provably no picks; an empty
-            # origin tuple keeps matview entries delta-capable.
-            record_provenance(answer, ())
-        return answer
 
     def close(self) -> None:
         """Release the gather worker pool (idempotent)."""

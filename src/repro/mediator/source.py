@@ -15,7 +15,7 @@ from typing import TYPE_CHECKING
 
 from ..dtd import Dtd, validate_document
 from ..errors import ValidationError
-from ..xmas import Query, evaluate_many
+from ..xmas import Answer, Query, evaluate_many
 from ..xmlmodel import Document
 
 if TYPE_CHECKING:
@@ -93,7 +93,7 @@ class Source:
                 )
         self.documents.append(document)
 
-    def query(self, query: Query) -> Document:
+    def query(self, query: Query) -> Answer:
         """Answer a pick-element query over all documents.
 
         An empty source is a degenerate *healthy* source, not an

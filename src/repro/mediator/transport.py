@@ -44,7 +44,7 @@ from typing import Protocol
 from .. import obs
 from ..errors import ReproError, SourceTimeout, SourceUnavailable
 from ..xmas import Query
-from ..xmlmodel import Document
+from ..xmas.engine import Answer
 from .source import Source
 
 # ---------------------------------------------------------------------------
@@ -529,7 +529,7 @@ class SourceTransport:
         query: Query,
         deadline: Deadline | None = None,
         timeout: float | None = None,
-    ) -> Document:
+    ) -> Answer:
         """Answer ``query`` under the policy; raise on terminal failure.
 
         ``timeout`` tightens (never loosens) the policy's per-call
@@ -558,7 +558,7 @@ class SourceTransport:
         query: Query,
         deadline: Deadline | None = None,
         timeout: float | None = None,
-    ) -> Document:
+    ) -> Answer:
         # Stat deltas accumulate in fast locals and flush under ONE
         # lock acquisition in the outer finally — a lock round-trip per
         # event would not fit the <5% happy-path overhead gate
@@ -741,20 +741,27 @@ class SourceTransport:
 
 @dataclass
 class DegradationReport:
-    """What a degraded (partial) answer left out, and why.
+    """What one gather did, leg by leg, and what its answer left out.
 
-    Attached to ``Mediator.last_degradation`` whenever a fan-out
-    skipped sources; ``skipped`` maps each skipped source to the
-    diagnostic code + message of its terminal failure.  ``answer_valid``
-    records that the partial answer was checked against the inferred
-    view DTD (degradation refuses to return an invalid partial answer —
-    see docs/RELIABILITY.md for the soundness argument).
+    Every gathered answer carries one (``Answer.report``): the legs of
+    a union view are its sources, the legs of a sharded source its
+    shards.  ``answered`` and ``pruned`` name legs in leg order;
+    ``skipped`` maps each dropped leg to the diagnostic code + message
+    of its terminal failure.  A leg that answered with a gather of its
+    own keeps that gather's report in ``nested``, and the nested skips
+    are lifted into ``skipped`` under the shard's name, prefixed
+    ``MED008`` -- so a skip at any depth degrades the answer.
+    ``answer_valid`` records the check of a degraded answer against the
+    inferred view DTD (degradation refuses to return an invalid partial
+    answer -- see docs/RELIABILITY.md for the soundness argument).
     """
 
     view_name: str
     skipped: dict[str, str] = field(default_factory=dict)
     answered: list[str] = field(default_factory=list)
     answer_valid: bool = True
+    pruned: list[str] = field(default_factory=list)
+    nested: dict[str, "DegradationReport"] = field(default_factory=dict)
 
     @property
     def degraded(self) -> bool:

@@ -394,25 +394,24 @@ class MediatorServer:
             self.stats.bump("dropped_queue_deadline")
             raise
         try:
-            document = self.mediator.materialize_union(
+            answer = self.mediator.materialize_union(
                 view, deadline, degrade=degrade, cache=use_cache
             )
-            report = self.mediator.last_degradation
-            cache_outcome = self.mediator.last_cache_outcome
         finally:
             self.admission.release()
         elapsed = self.mediator.clock.now() - started
         self.latency.observe(elapsed)
         response = {
             "ok": True,
-            "answer": serialize_document(document),
-            "degraded": report is not None,
+            "answer": serialize_document(answer),
+            "degraded": answer.degraded,
             "elapsed": round(elapsed, 6),
-            "cache": cache_outcome,
+            "cache": answer.cache,
         }
-        if cache_outcome == "bypass":
+        if answer.cache == "bypass":
             response["cache_code"] = protocol.CACHE_BYPASS
-        if report is not None:
+        if answer.degraded:
+            report = answer.report
             response["skipped"] = dict(sorted(report.skipped.items()))
             response["answered"] = list(report.answered)
         return response

@@ -33,6 +33,7 @@ from .construct import (
     parse_construct_query,
 )
 from .engine import (
+    Answer,
     CompiledPlan,
     PlanNode,
     compile_query,
@@ -53,6 +54,7 @@ from .parser import parse_query
 
 __all__ = [
     "WILDCARD",
+    "Answer",
     "CompiledPlan",
     "Condition",
     "ConstructQuery",

@@ -45,9 +45,8 @@ alongside the language kernel's caches.
 from __future__ import annotations
 
 import threading
-import weakref
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from .. import obs
 from ..regex import kernel
@@ -55,6 +54,9 @@ from ..xmlmodel import Document, Element, fresh_id
 from ..xmlmodel import index as _index_module
 from ..xmlmodel.index import DocumentIndex, document_index
 from .ast import Condition, Query
+
+if TYPE_CHECKING:
+    from ..mediator.transport import DegradationReport
 
 # ---------------------------------------------------------------------------
 # plan representation
@@ -542,7 +544,7 @@ class _PlanRun:
 
 
 # ---------------------------------------------------------------------------
-# answer provenance (the materialized-view cache's raw material)
+# answers and their provenance (the materialized-view cache's raw material)
 # ---------------------------------------------------------------------------
 
 
@@ -562,12 +564,6 @@ class PickOrigin(NamedTuple):
     end: int
 
 
-#: answer document -> per-pick origins, recorded only while some
-#: mediator cache has asked for provenance (weak: answers own their
-#: provenance and drop it when they die)
-_PROVENANCE: "weakref.WeakKeyDictionary[Document, tuple[PickOrigin, ...]]" = (
-    weakref.WeakKeyDictionary()
-)
 _PROV_LOCK = threading.Lock()
 _prov_users = 0
 
@@ -579,37 +575,29 @@ def enable_provenance() -> None:
         _prov_users += 1
 
 
-def disable_provenance() -> None:
-    """Drop one provenance request; recording stops at zero."""
-    global _prov_users
-    with _PROV_LOCK:
-        _prov_users = max(0, _prov_users - 1)
+@dataclass(eq=False)
+class Answer(Document):
+    """An answer document plus how it was produced.
 
-
-def provenance_of(answer: Document) -> tuple[PickOrigin, ...] | None:
-    """The recorded pick origins of an answer document, if any."""
-    with _PROV_LOCK:
-        return _PROVENANCE.get(answer)
-
-
-def provenance_enabled() -> bool:
-    """Is some cache currently asking the engine to record origins?"""
-    return _prov_users > 0
-
-
-def record_provenance(
-    answer: Document, origins: tuple[PickOrigin, ...]
-) -> None:
-    """Attach pick origins to an answer built outside the engine.
-
-    Merge layers (the sharded-source gather, stacked mediators) build
-    answer documents by concatenating per-fragment answers; this lets
-    them re-register the combined origins — with ``doc`` ordinals
-    shifted into the logical document list — so delta maintenance
-    keeps working across the merge.
+    The one record every layer returns -- the engine, a source, its
+    transport, a gather, the mediator -- so an answer explains itself
+    without any side channel.  ``provenance`` holds the per-pick
+    origins (``None`` when not recorded); ``report`` the per-leg
+    outcome of the gather that built the answer (a
+    :class:`~repro.mediator.transport.DegradationReport`, ``None`` for a
+    plain engine answer); ``cache`` the materialized-view cache's
+    verdict: ``"off"`` (no cache configured), ``"disabled"``,
+    ``"bypass"``, ``"hit"``, ``"delta"`` or ``"miss"``.
     """
-    with _PROV_LOCK:
-        _PROVENANCE[answer] = tuple(origins)
+
+    provenance: tuple[PickOrigin, ...] | None = None
+    report: DegradationReport | None = None
+    cache: str = "off"
+
+    @property
+    def degraded(self) -> bool:
+        """Did the answer drop a failed source or shard at any depth?"""
+        return self.report is not None and self.report.degraded
 
 
 def _picked_with_origins(
@@ -672,19 +660,18 @@ def compiled_picked_elements(
     return [index.element_at(pos) for pos in run.picked_positions()]
 
 
-def evaluate_compiled(query: Query, document: Document) -> Document:
+def evaluate_compiled(query: Query, document: Document) -> Answer:
     """Compiled-backend ``evaluate`` (same contract as the legacy one)."""
     return evaluate_many_compiled(query, [document])
 
 
-def evaluate_many_compiled(query: Query, documents: list[Document]) -> Document:
+def evaluate_many_compiled(query: Query, documents: list[Document]) -> Answer:
     """Compiled-backend ``evaluate_many`` (one plan, many documents)."""
     with obs.span("engine.evaluate") as sp:
         index_hits = _index_module._index_hits
         index_misses = _index_module._index_misses
         plan = compile_query(query)
-        record = _prov_users > 0
-        origins: list[PickOrigin] | None = [] if record else None
+        origins: list[PickOrigin] | None = [] if _prov_users > 0 else None
         picks: list[Element] = []
         for ordinal, document in enumerate(documents):
             picks.extend(
@@ -708,8 +695,6 @@ def evaluate_many_compiled(query: Query, documents: list[Document]) -> Document:
             [element.deep_copy(fresh_ids=True) for element in picks],
             fresh_id(),
         )
-        answer = Document(root)
-        if record and origins is not None:
-            with _PROV_LOCK:
-                _PROVENANCE[answer] = tuple(origins)
-        return answer
+        return Answer(
+            root, provenance=None if origins is None else tuple(origins)
+        )

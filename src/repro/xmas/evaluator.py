@@ -35,6 +35,7 @@ from typing import Iterator
 
 from ..xmlmodel import Document, Element, fresh_id
 from .ast import Condition, Query
+from .engine import Answer
 
 Binding = dict[str, Element]
 
@@ -246,16 +247,16 @@ def picked_elements(query: Query, document: Document) -> list[Element]:
     return legacy_picked_elements(query, document)
 
 
-def _view_document(query: Query, picks: list[Element]) -> Document:
+def _view_document(query: Query, picks: list[Element]) -> Answer:
     root = Element(
         query.view_name,
         [element.deep_copy(fresh_ids=True) for element in picks],
         fresh_id(),
     )
-    return Document(root)
+    return Answer(root)
 
 
-def evaluate(query: Query, document: Document) -> Document:
+def evaluate(query: Query, document: Document) -> Answer:
     """Run the query: the view document with the picked elements.
 
     The picked elements are deep-copied with fresh IDs so the result
@@ -264,7 +265,7 @@ def evaluate(query: Query, document: Document) -> Document:
     return _view_document(query, picked_elements(query, document))
 
 
-def evaluate_many(query: Query, documents: list[Document]) -> Document:
+def evaluate_many(query: Query, documents: list[Document]) -> Answer:
     """Run the query over several documents of the same source.
 
     Pick-element queries apply to one source; a source may hold many

@@ -10,6 +10,7 @@ deterministic one in the FakeClock suites.
 
 from __future__ import annotations
 
+import sys
 import threading
 import time
 
@@ -254,3 +255,129 @@ class TestSourceAccounting:
 
         run_threads(threads, worker)
         assert source.queries_served == threads * per_thread
+
+
+class TestMediatorCounters:
+    """Counters bumped on paths serve handler threads run at once."""
+
+    QUERIES = (
+        # a valid sub-condition the simplifier prunes
+        "SELECT Y WHERE Y:<withJournals><professor><journal/></professor>"
+        "</withJournals>",
+        # composable with the view definition
+        "SELECT Y WHERE <withJournals> Y:<professor><journal/></professor>"
+        "</withJournals>",
+        # provably dead: the pre-flight rejects it
+        "SELECT Y WHERE Y:<withJournals><name><journal/></name>"
+        "</withJournals>",
+    )
+
+    @staticmethod
+    def mediator():
+        from repro.dtd import dtd
+        from repro.mediator import Mediator, Source
+        from repro.xmas import parse_query
+
+        schema = dtd(
+            {
+                "professor": "name, (journal | conference)*",
+                "name": "#PCDATA",
+                "journal": "#PCDATA",
+                "conference": "#PCDATA",
+            },
+            root="professor",
+        )
+        rng = random.Random(11)
+        documents = [
+            generate_document(schema, rng, star_mean=1.5) for _ in range(3)
+        ]
+        mediator = Mediator("mix")
+        mediator.add_source(Source("profs", schema, documents))
+        mediator.register_view(
+            parse_query(
+                "withJournals = SELECT X WHERE X:<professor><journal/>"
+                "</professor>"
+            ),
+            "profs",
+        )
+        return mediator
+
+    def test_query_view_counters_are_exact_under_contention(self):
+        from dataclasses import fields
+
+        from repro.xmas import parse_query
+
+        queries = [parse_query(text) for text in self.QUERIES]
+        solo = self.mediator()
+        for query in queries:
+            solo.query_view(query, "withJournals")
+        per_round = vars(solo.stats).copy()
+        for name in (
+            "queries",
+            "conditions_pruned",
+            "composed",
+            "preflight_rejections",
+            "fanouts_skipped",
+            "answered_without_source",
+        ):
+            assert per_round[name] > 0, name
+        mediator = self.mediator()
+        for field in fields(mediator.stats):
+            setattr(
+                mediator.stats, field.name, TestSourceAccounting._YieldingInt(0)
+            )
+        threads, rounds = 8, 5
+
+        def worker(_i):
+            for _ in range(rounds):
+                for query in queries:
+                    mediator.query_view(query, "withJournals")
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            run_threads(threads, worker)
+        finally:
+            sys.setswitchinterval(interval)
+        assert vars(mediator.stats) == {
+            name: value * threads * rounds
+            for name, value in per_round.items()
+        }
+
+    def test_fanout_counters_are_exact_under_contention(self):
+        from repro.mediator import FanoutPolicy, ParallelTransport, Source
+        from repro.xmas import parse_query
+
+        schema = site_schema()
+        rng = random.Random(5)
+        query = parse_query("v = SELECT S WHERE <site> S:<paper/> </>")
+        transports = [
+            SourceTransport(
+                Source(
+                    f"site{i}",
+                    schema,
+                    [generate_document(schema, rng)],
+                    validate=False,
+                )
+            )
+            for i in range(2)
+        ]
+        fanout = ParallelTransport(policy=FanoutPolicy(max_workers=2))
+        fanout.inline_fanouts = TestSourceAccounting._YieldingInt(0)
+        fanout.parallel_fanouts = TestSourceAccounting._YieldingInt(0)
+        threads, per_thread = 8, 10
+
+        def worker(_i):
+            for _ in range(per_thread):
+                fanout.fan_out([(transports[0], query)])
+                fanout.fan_out([(t, query) for t in transports])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            run_threads(threads, worker)
+        finally:
+            sys.setswitchinterval(interval)
+            fanout.close()
+        assert fanout.inline_fanouts == threads * per_thread
+        assert fanout.parallel_fanouts == threads * per_thread

@@ -41,7 +41,7 @@ class TestAcceptanceScenario:
         clock = FakeClock()
         mediator = federation(clock)
         answer = mediator.materialize_union("journals")
-        report = mediator.last_degradation
+        report = answer.report
         assert report is not None and report.degraded
         # the dead source was skipped; the flaky one answered (retried)
         assert set(report.skipped) == {"site2"}
@@ -65,19 +65,18 @@ class TestAcceptanceScenario:
         mediator.materialize_union("journals")
         dead = mediator.sources["site2"]
         attempts_before = mediator.transports["site2"].stats.attempts
-        mediator.materialize_union("journals")
+        answer = mediator.materialize_union("journals")
         # breaker open: the dead source was not even attempted
         assert mediator.transports["site2"].stats.attempts == attempts_before
         assert mediator.transports["site2"].stats.breaker_rejections == 1
         assert dead.plan.dead  # still dead, still skipped soundly
-        assert mediator.last_degradation.degraded
+        assert answer.degraded
 
     def test_no_degrade_propagates_the_failure(self):
         clock = FakeClock()
         mediator = federation(clock)
         with pytest.raises(SourceUnavailable):
             mediator.materialize_union("journals", degrade=False)
-        assert mediator.last_degradation is None
 
     def test_health_table_renders(self):
         clock = FakeClock()
@@ -103,8 +102,8 @@ class TestDeadlineFanOut:
         mediator = federation(clock, plans=plans)
         deadline = mediator.deadline(1.0)
         answer = mediator.materialize_union("journals", deadline=deadline)
-        report = mediator.last_degradation
-        assert report is not None
+        report = answer.report
+        assert answer.degraded
         # site0's answer arrived after the budget: discarded (timeout);
         # by then the budget was spent, so site1/site2 were never tried
         assert set(report.skipped) == {"site0", "site1", "site2"}
@@ -119,8 +118,8 @@ class TestDeadlineFanOut:
                  ("site0", "site1", "site2")}
         mediator = federation(clock, plans=plans)
         deadline = mediator.deadline(10.0)
-        mediator.materialize_union("journals", deadline=deadline)
-        assert mediator.last_degradation is None
+        answer = mediator.materialize_union("journals", deadline=deadline)
+        assert not answer.degraded
         for name in ("site0", "site1", "site2"):
             assert mediator.transports[name].stats.successes == 1
 
@@ -167,8 +166,8 @@ class TestSingleSourceDegradation:
         answer = mediator.query_view(client, "publist")
         assert answer.root.name == "titles"
         assert answer.root.children == []
-        report = mediator.last_degradation
-        assert report is not None and set(report.skipped) == {"dept"}
+        report = answer.report
+        assert answer.degraded and set(report.skipped) == {"dept"}
         assert mediator.stats.degraded_answers == 1
 
     def test_query_view_no_degrade_raises(self):
@@ -190,13 +189,11 @@ class TestSingleSourceDegradation:
             "titles = SELECT T WHERE <publist> <publication>"
             " T:<title/> </> </>"
         )
-        mediator.query_view(client, "publist")
-        assert mediator.last_degradation is not None
+        assert mediator.query_view(client, "publist").degraded
         # breaker may have tripped; wait out the reset and let the
         # now-healthy source answer
         mediator.clock.advance(mediator.policy.breaker.reset_timeout)
-        mediator.query_view(client, "publist")
-        assert mediator.last_degradation is None
+        assert not mediator.query_view(client, "publist").degraded
 
     def test_explain_reports_breaker_state(self):
         mediator = self.make_mediator(FaultPlan(dead=True))

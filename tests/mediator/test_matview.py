@@ -100,12 +100,12 @@ class TestHitPath:
     def test_repeat_materialization_hits_without_source_calls(self):
         mediator = federation()
         first = mediator.materialize_union(VIEW)
-        assert mediator.last_cache_outcome == "miss"
+        assert first.cache == "miss"
         calls_after_miss = {
             name: row["calls"] for name, row in mediator.health().items()
         }
         second = mediator.materialize_union(VIEW)
-        assert mediator.last_cache_outcome == "hit"
+        assert second.cache == "hit"
         assert serialize_document(second) == serialize_document(first)
         assert {
             name: row["calls"] for name, row in mediator.health().items()
@@ -128,7 +128,7 @@ class TestHitPath:
         assert mediator.materialize_union(VIEW) is a
         a.root.remove_child(a.root.children[0])
         healed = mediator.materialize_union(VIEW)
-        assert mediator.last_cache_outcome == "miss"
+        assert healed.cache == "miss"
         assert mediator.matview.info()["invalidations"] == 1
         assert serialize_document(healed) == reference
 
@@ -139,10 +139,7 @@ class TestHitPath:
         other.sources["site0"].documents[0].root.append_child(
             elem("entry")
         )
-        assert (
-            mediator.materialize_union(VIEW) is not None
-        )
-        assert mediator.last_cache_outcome == "hit"
+        assert mediator.materialize_union(VIEW).cache == "hit"
 
     def test_cached_answer_validates_against_view_dtd(self):
         mediator = federation()
@@ -159,7 +156,7 @@ class TestDeltaMaintenance:
         document, publication = find_journal_pick(mediator)
         publication.children[0].set_text("retitled")
         answer = mediator.materialize_union(VIEW)
-        assert mediator.last_cache_outcome == "delta"
+        assert answer.cache == "delta"
         assert mediator.matview.info()["deltas"] == 1
         assert "retitled" in serialize_document(answer)
         assert serialize_document(answer) == serialize_document(
@@ -175,7 +172,7 @@ class TestDeltaMaintenance:
             journal_publication("spliced in")
         )
         answer = mediator.materialize_union(VIEW)
-        assert mediator.last_cache_outcome == "delta"
+        assert answer.cache == "delta"
         assert len(answer.root.children) == n + 1
         assert serialize_document(answer) == serialize_document(
             cold_answer(mediator)
@@ -188,7 +185,7 @@ class TestDeltaMaintenance:
         document, publication = find_journal_pick(mediator)
         parent_of(document, publication).remove_child(publication)
         answer = mediator.materialize_union(VIEW)
-        assert mediator.last_cache_outcome == "delta"
+        assert answer.cache == "delta"
         assert len(answer.root.children) == n - 1
         assert serialize_document(answer) == serialize_document(
             cold_answer(mediator)
@@ -204,7 +201,7 @@ class TestDeltaMaintenance:
         document, publication = find_journal_pick(mediator)
         parent_of(document, publication).remove_child(publication)
         maintained = mediator.materialize_union(VIEW)
-        assert mediator.last_cache_outcome == "delta"
+        assert maintained.cache == "delta"
         assert maintained is not held
         assert serialize_document(held) == before
 
@@ -215,7 +212,7 @@ class TestDeltaMaintenance:
         docs[0].root.append_child(elem("entry", journal_publication("a")))
         docs[1].root.append_child(elem("entry", journal_publication("b")))
         answer = mediator.materialize_union(VIEW)
-        assert mediator.last_cache_outcome == "miss"
+        assert answer.cache == "miss"
         info = mediator.matview.info()
         assert info["invalidations"] == 1
         assert info["deltas"] == 0
@@ -237,7 +234,7 @@ class TestDeltaMaintenance:
             generate_document(site_schema(), random.Random(3), star_mean=2.0)
         )
         answer = mediator.materialize_union(VIEW)
-        assert mediator.last_cache_outcome == "miss"
+        assert answer.cache == "miss"
         assert mediator.matview.info()["invalidations"] == 1
         assert serialize_document(answer) == serialize_document(
             cold_answer(mediator)
@@ -248,8 +245,8 @@ class TestDeltaMaintenance:
         mediator.materialize_union(VIEW)
         document, publication = find_journal_pick(mediator)
         publication.children[0].set_text("retitled")
-        mediator.materialize_union(VIEW)
-        assert mediator.last_cache_outcome == "miss"
+        served = mediator.materialize_union(VIEW)
+        assert served.cache == "miss"
         assert mediator.matview.info()["deltas"] == 0
 
     def test_mutation_during_inflight_evaluation_is_conservative(self):
@@ -283,11 +280,11 @@ class TestDeltaMaintenance:
         parent.remove_child(publication)  # dirties the document
         mediator.materialize_union(VIEW)
         publication.children[0].set_text("edited off-tree")
-        mediator.materialize_union(VIEW)
-        assert mediator.last_cache_outcome == "hit"  # re-armed
+        served = mediator.materialize_union(VIEW)
+        assert served.cache == "hit"  # re-armed
         parent.append_child(publication)
         answer = mediator.materialize_union(VIEW)
-        assert mediator.last_cache_outcome == "delta"
+        assert answer.cache == "delta"
         assert "edited off-tree" in serialize_document(answer)
         assert serialize_document(answer) == serialize_document(
             cold_answer(mediator)
@@ -301,8 +298,8 @@ class TestBypassAndPolicy:
         calls = {
             name: row["calls"] for name, row in mediator.health().items()
         }
-        mediator.materialize_union(VIEW, cache=False)
-        assert mediator.last_cache_outcome == "bypass"
+        served = mediator.materialize_union(VIEW, cache=False)
+        assert served.cache == "bypass"
         assert mediator.matview.info()["bypasses"] == 1
         # the bypass recomputed: every source was called again
         assert all(
@@ -310,14 +307,14 @@ class TestBypassAndPolicy:
             for name, row in mediator.health().items()
         )
         # ...and did not disturb the stored entry
-        mediator.materialize_union(VIEW)
-        assert mediator.last_cache_outcome == "hit"
+        served = mediator.materialize_union(VIEW)
+        assert served.cache == "hit"
 
     def test_disabled_policy_never_serves(self):
         mediator = federation(cache=MatViewPolicy(enabled=False))
         mediator.materialize_union(VIEW)
-        mediator.materialize_union(VIEW)
-        assert mediator.last_cache_outcome == "disabled"
+        served = mediator.materialize_union(VIEW)
+        assert served.cache == "disabled"
         assert mediator.matview.info()["entries"] == 0
 
     def test_no_cache_mediator_reports_off(self):
@@ -325,9 +322,9 @@ class TestBypassAndPolicy:
         mediator = build_flaky_federation(
             clock, plans=healthy_plans(3)
         )
-        mediator.materialize_union(VIEW)
+        served = mediator.materialize_union(VIEW)
         assert mediator.matview is None
-        assert mediator.last_cache_outcome == "off"
+        assert served.cache == "off"
 
 
 class TestDegradedAnswers:
@@ -338,13 +335,12 @@ class TestDegradedAnswers:
             plans=standard_fault_plans(3),
             cache=MatViewPolicy(),
         )
-        mediator.materialize_union(VIEW)
-        assert mediator.last_degradation is not None
+        assert mediator.materialize_union(VIEW).degraded
         info = mediator.matview.info()
         assert info["entries"] == 0
         assert info["recomputes"] == 0
-        mediator.materialize_union(VIEW)
-        assert mediator.last_cache_outcome == "miss"
+        served = mediator.materialize_union(VIEW)
+        assert served.cache == "miss"
 
 
 class TestEvictionAndBudget:
@@ -380,10 +376,10 @@ class TestEvictionAndBudget:
         assert info["evictions"] == 1
         assert info["entries"] == 1
         assert info["bytes"] <= b1 + b2 - 1
-        mediator.materialize_union("everything")
-        assert mediator.last_cache_outcome == "hit"
-        mediator.materialize_union(VIEW)
-        assert mediator.last_cache_outcome == "miss"
+        served = mediator.materialize_union("everything")
+        assert served.cache == "hit"
+        served = mediator.materialize_union(VIEW)
+        assert served.cache == "miss"
 
     def test_oversized_answer_is_not_stored(self):
         mediator = federation(cache=MatViewPolicy(max_bytes=1))
@@ -391,8 +387,8 @@ class TestEvictionAndBudget:
         info = mediator.matview.info()
         assert info["entries"] == 0
         assert info["evictions"] == 1
-        mediator.materialize_union(VIEW)
-        assert mediator.last_cache_outcome == "miss"
+        served = mediator.materialize_union(VIEW)
+        assert served.cache == "miss"
 
 
 class TestQueryViewCaching:
@@ -420,10 +416,10 @@ class TestQueryViewCaching:
     def test_composed_query_hits_then_deltas(self, mediator):
         client = parse_query(self.CLIENT)
         first = mediator.query_view(client, "publist")
-        assert mediator.last_cache_outcome == "miss"
+        assert first.cache == "miss"
         assert mediator.stats.composed == 1
         second = mediator.query_view(client, "publist")
-        assert mediator.last_cache_outcome == "hit"
+        assert second.cache == "hit"
         assert mediator.stats.composed == 1  # no source call, no compose
         assert serialize_document(second) == serialize_document(first)
         # a localized edit delta-maintains through the composed query
@@ -433,7 +429,7 @@ class TestQueryViewCaching:
         )
         title.set_text("rewritten")
         third = mediator.query_view(client, "publist")
-        assert mediator.last_cache_outcome == "delta"
+        assert third.cache == "delta"
         mediator.matview.clear()
         assert serialize_document(third) == serialize_document(
             mediator.query_view(client, "publist")
@@ -443,18 +439,18 @@ class TestQueryViewCaching:
         client = parse_query(
             "v = SELECT X WHERE X:<publist> <publication/> </>"
         )
-        mediator.query_view(client, "publist")  # not composable
-        assert mediator.last_cache_outcome == "miss"
-        mediator.query_view(client, "publist")
-        assert mediator.last_cache_outcome == "hit"
+        served = mediator.query_view(client, "publist")  # not composable
+        assert served.cache == "miss"
+        served = mediator.query_view(client, "publist")
+        assert served.cache == "hit"
         # any source edit forces a recompute (no provenance)
         document = mediator.sources["dept"].documents[0]
         title = next(
             el for el in document.root.iter() if el.name == "title"
         )
         title.set_text("rewritten")
-        mediator.query_view(client, "publist")
-        assert mediator.last_cache_outcome == "miss"
+        served = mediator.query_view(client, "publist")
+        assert served.cache == "miss"
         assert mediator.matview.info()["deltas"] == 0
 
 
@@ -512,8 +508,8 @@ class TestKernelIntegration:
         info = mediator.matview.info()
         assert info["entries"] == 0
         assert info["hits"] == 0
-        mediator.materialize_union(VIEW)
-        assert mediator.last_cache_outcome == "miss"
+        served = mediator.materialize_union(VIEW)
+        assert served.cache == "miss"
 
 
 class TestDeterminism:
@@ -529,14 +525,13 @@ class TestDeterminism:
             cache=MatViewPolicy(),
         )
         trail = []
-        trail.append(serialize_document(mediator.materialize_union(VIEW)))
-        trail.append(mediator.last_cache_outcome)
-        trail.append(serialize_document(mediator.materialize_union(VIEW)))
-        trail.append(mediator.last_cache_outcome)
-        document, publication = find_journal_pick(mediator)
-        publication.children[0].set_text("determinism probe")
-        trail.append(serialize_document(mediator.materialize_union(VIEW)))
-        trail.append(mediator.last_cache_outcome)
+        for step in range(3):
+            if step == 2:
+                document, publication = find_journal_pick(mediator)
+                publication.children[0].set_text("determinism probe")
+            answer = mediator.materialize_union(VIEW)
+            trail.append(serialize_document(answer))
+            trail.append(answer.cache)
         trail.append(tuple(sorted(mediator.matview.info().items())))
         trail.append(clock.now())
         mediator.close()

@@ -196,8 +196,8 @@ class TestDegradedParallel:
             "journals", mediator.deadline(5.0)
         )
         assert document is not None
-        report = mediator.last_degradation
-        assert report is not None
+        report = document.report
+        assert document.degraded
         assert set(report.skipped) == {"site3"}
         assert report.answered == ["site0", "site1", "site2"]
         mediator.close()
@@ -237,7 +237,7 @@ class TestDegradedParallel:
         # retry ladder for a source that cannot make the deadline.
         assert clock.now() - start == pytest.approx(9.0)
         assert document is not None
-        report = mediator.last_degradation
+        report = document.report
         assert set(report.skipped) == {"site3"}
         assert mediator.transports["site3"].stats.timeouts >= 1
         mediator.close()
@@ -287,13 +287,14 @@ class TestDeterminism:
                 fanout=FanoutPolicy(max_workers=max_workers),
             )
             for _ in range(3):
-                mediator.materialize_union(
+                answer = mediator.materialize_union(
                     "journals", mediator.deadline(5.0)
                 )
-            report = mediator.last_degradation
             outcome = {
                 "trace": tracer.render(),
-                "degradation": report.describe() if report else None,
+                "degradation": (
+                    answer.report.describe() if answer.degraded else None
+                ),
                 "health": mediator.health(),
                 "stats": {
                     name: vars(transport.stats).copy()

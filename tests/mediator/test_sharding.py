@@ -207,23 +207,22 @@ class TestPruning:
         source = sharded(documents)
         survivors, pruned = source.prune(journal_query())
         assert survivors and pruned
-        source.query(journal_query())
+        report = source.query(journal_query()).report
         for shard in source.shards:
             if shard.name in pruned:
                 assert shard.queries_served == 0
             else:
                 assert shard.queries_served == 1
-        report = source.last_gather
         assert report.pruned == pruned
         assert report.answered == survivors
-        assert not report.partial
+        assert not report.degraded
 
     def test_prune_off_calls_every_shard(self):
         documents = corpus()
         source = sharded(documents, policy=ShardPolicy(prune=False))
-        source.query(journal_query())
+        answer = source.query(journal_query())
         assert all(shard.queries_served == 1 for shard in source.shards)
-        assert source.last_gather.pruned == []
+        assert answer.report.pruned == []
 
     def test_all_pruned_answers_empty_without_calls(self):
         documents = corpus(n_journal=0, n_conference=8)
@@ -374,8 +373,8 @@ class TestPartialGather:
             validate=False,
         )
         answer = source.query(journal_query())
-        report = source.last_gather
-        assert report.partial
+        report = answer.report
+        assert report.degraded
         assert set(report.skipped) == {"bib0/s0"}
         assert report.skipped["bib0/s0"].startswith("MED003")
         assert source.stats.partial_gathers == 1
@@ -446,7 +445,7 @@ class TestPartialGather:
             validate=False,
         )
         answer = source.query(journal_query())
-        assert not source.last_gather.partial
+        assert not answer.degraded
         assert answer.root.structurally_equal(
             oracle(documents).query(journal_query()).root
         )
@@ -477,8 +476,9 @@ class TestDeterminism:
         )
         trail = []
         for _ in range(2):
-            trail.append(serialize_document(source.query(journal_query())))
-            trail.append(tuple(source.last_gather.answered))
+            answer = source.query(journal_query())
+            trail.append(serialize_document(answer))
+            trail.append(tuple(answer.report.answered))
         trail.append(clock.now())
         trail.append(
             tuple(
@@ -544,9 +544,9 @@ class TestMatViewIntegration:
     def test_repeat_materialization_hits(self):
         mediator = self.federation()
         first = mediator.materialize_union(VIEW)
-        assert mediator.last_cache_outcome == "miss"
+        assert first.cache == "miss"
         second = mediator.materialize_union(VIEW)
-        assert mediator.last_cache_outcome == "hit"
+        assert second.cache == "hit"
         assert serialize_document(second) == serialize_document(first)
 
     def test_mutation_in_surviving_shard_is_delta_maintained(self):
@@ -557,7 +557,7 @@ class TestMatViewIntegration:
         doi = self.find_text_leaf(journal_shard.documents[0], "doi")
         doi.set_text("sharded delta probe")
         answer = mediator.materialize_union(VIEW)
-        assert mediator.last_cache_outcome == "delta"
+        assert answer.cache == "delta"
         assert "sharded delta probe" in serialize_document(answer)
         fresh_answer = mediator.materialize_union(VIEW, cache=False)
         assert answer.root.structurally_equal(fresh_answer.root)
@@ -570,7 +570,7 @@ class TestMatViewIntegration:
         leaf = self.find_text_leaf(conference_shard.documents[0], "location")
         leaf.set_text("moved nowhere")
         after = mediator.materialize_union(VIEW)
-        assert mediator.last_cache_outcome == "delta"
+        assert after.cache == "delta"
         assert after.root.structurally_equal(before.root)
 
 
@@ -640,8 +640,8 @@ class TestDiagnostics:
             clock=clock,
             validate=False,
         )
-        source.query(all_articles_query())
-        (reason,) = source.last_gather.skipped.values()
+        answer = source.query(all_articles_query())
+        (reason,) = answer.report.skipped.values()
         code = reason.split(":", 1)[0]
         assert code in DIAGNOSTIC_CODES
 
@@ -714,7 +714,6 @@ class TestDifferentialProperty:
         )
         reference = oracle(documents)
         query = all_articles_query()
-        assert source.query(query).root.structurally_equal(
-            reference.query(query).root
-        )
-        assert not source.last_gather.partial
+        answer = source.query(query)
+        assert answer.root.structurally_equal(reference.query(query).root)
+        assert not answer.degraded

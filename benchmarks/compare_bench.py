@@ -40,10 +40,6 @@ COUNTER_KEYS = (
     "speedup",
     "sharing_speedup",
     "preflight_fraction",
-    # provenance of an evaluator run, not a reproduced fact: the
-    # BENCH_PR3 trajectory compares a legacy-backend baseline against a
-    # compiled-backend current run on purpose
-    "backend",
 )
 
 #: per-benchmark stats kept in slimmed records (raw sample data dropped).

@@ -669,7 +669,7 @@ class MatViewCache:
         ):
             documents = tuple(leg.source.documents)
             leg_docs.append(documents)
-            if origins is None or any(o.pos < 0 for o in origins):
+            if origins is None:
                 # No provenance for this leg: the entry can still be
                 # validated and invalidated, but never spliced, so the
                 # (now meaningless) answer offsets stay at -1.

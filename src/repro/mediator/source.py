@@ -108,11 +108,10 @@ class Source:
         return evaluate_many(query, self.documents)
 
     def warm_indexes(self) -> int:
-        """Pre-build the document indexes the compiled engine uses.
+        """Pre-build the document indexes the query engine uses.
 
         Serving latency work moved to load time; returns the number of
-        documents indexed.  A no-op for the legacy backend (indexes are
-        simply never consulted).
+        documents indexed.
         """
         from ..xmlmodel import document_index
 

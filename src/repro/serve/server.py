@@ -29,6 +29,7 @@ relationship to the paper's mediator architecture.
 
 from __future__ import annotations
 
+import math
 import socket
 import threading
 from dataclasses import dataclass, field
@@ -152,6 +153,16 @@ class AdmissionController:
         with self._cond:
             self._inflight -= 1
             self._cond.notify()
+
+
+def _seconds(value: object) -> float:
+    """A request's budget field as seconds; NaN when not a JSON number."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return math.nan
+    try:
+        return float(value)
+    except OverflowError:  # an integer beyond float range
+        return math.inf
 
 
 class MediatorServer:
@@ -368,13 +379,16 @@ class MediatorServer:
             raise protocol.ProtocolError(
                 "union request needs a string 'view' field"
             )
-        budget = request.get("budget", self.policy.default_budget)
-        if not isinstance(budget, (int, float)) or budget <= 0:
+        budget = _seconds(request.get("budget", self.policy.default_budget))
+        if not 0 < budget < math.inf:
             raise protocol.ProtocolError(
-                "'budget' must be a positive number of seconds"
+                "'budget' must be a finite positive number of seconds"
             )
-        degrade = bool(request.get("degrade", True))
-        use_cache = bool(request.get("cache", True))
+        degrade = request.get("degrade", True)
+        use_cache = request.get("cache", True)
+        for name, value in (("degrade", degrade), ("cache", use_cache)):
+            if not isinstance(value, bool):
+                raise protocol.ProtocolError(f"{name!r} must be a boolean")
         if not use_cache:
             self.stats.bump("cache_bypassed")
         if self.policy.shed_when_all_open and self._breakers_all_open():
@@ -383,7 +397,7 @@ class MediatorServer:
                 "all source circuit breakers are open; "
                 "not queueing a request that cannot be answered"
             )
-        deadline = self.mediator.deadline(float(budget))
+        deadline = self.mediator.deadline(budget)
         started = self.mediator.clock.now()
         try:
             self.admission.acquire(deadline)

@@ -11,10 +11,11 @@ per element) loads once per live index as packed arrays, so candidate
 generation and structural joins run at plain-list speed; the
 **payload** (PCDATA text, element IDs, Appendix A attributes -- the
 bulk of a corpus) stays on disk and hydrates through the store's
-bounded page/LRU cache.  Trees materialize only for the final picks
-(:meth:`StoredDocumentIndex.element_at`, subtree-sized) or the
-legacy-evaluator fallback (``.root``, document-sized, counted as a
-``hydration`` in the store's cache stats).
+bounded page/LRU cache.  Query evaluation materializes trees only for
+the final picks (:meth:`StoredDocumentIndex.element_at`,
+subtree-sized); a whole document (``.root``, counted as a
+``hydration`` in the store's cache stats) materializes only for
+serialization and DTD validation.
 """
 
 from __future__ import annotations
@@ -249,11 +250,10 @@ class StoredDocument(Document):
     Satisfies the :class:`~repro.xmlmodel.element.Document` surface --
     ``root_type``, ``size()``, ``iter()`` -- without holding a tree.
     ``document_index`` dispatches to :meth:`stored_index` (duck-typed),
-    so the compiled engine runs on the stored arrays; anything that
-    touches ``.root`` (the legacy evaluator, DTD validation,
-    serialization) hydrates the full tree *per access* and is counted
-    in the store's ``hydrations`` stat -- correctness fallback, not the
-    fast path.  Stored documents are immutable: edit by re-ingesting,
+    so every query runs on the stored arrays; ``.root`` (DTD
+    validation, serialization) hydrates the full tree *per access* and
+    is counted in the store's ``hydrations`` stat -- never on the query
+    path.  Stored documents are immutable: edit by re-ingesting,
     which bumps the generation counter and invalidates live indexes.
     """
 
@@ -303,7 +303,7 @@ class StoredDocument(Document):
 
     @property
     def root(self) -> Element:  # type: ignore[override]
-        """The fully hydrated tree (fallback path; see class docstring).
+        """The fully hydrated tree (not the query path; see class docstring).
 
         Hydrates on every access -- holding the result is the
         caller's choice, the handle itself stays tree-free.

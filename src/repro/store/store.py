@@ -197,7 +197,7 @@ class DocumentStore:
             self.path, check_same_thread=False
         )
         self._pages = _Lru(self.policy.max_pages)
-        self.hydrations = 0  # full-tree materializations (fallback path)
+        self.hydrations = 0  # full-tree materializations (``.root``)
         try:
             self._initialize()
         except sqlite3.DatabaseError as error:

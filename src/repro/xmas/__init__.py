@@ -38,18 +38,9 @@ from .engine import (
     PlanNode,
     compile_query,
     compiled_picked_elements,
-    evaluate_compiled,
     evaluate_many_compiled,
 )
-from .evaluator import (
-    bindings,
-    eval_backend,
-    evaluate,
-    evaluate_many,
-    legacy_picked_elements,
-    picked_elements,
-    set_eval_backend,
-)
+from .evaluator import bindings, evaluate, evaluate_many, picked_elements
 from .parser import parse_query
 
 __all__ = [
@@ -71,16 +62,13 @@ __all__ = [
     "compiled_picked_elements",
     "cond",
     "condition_size",
-    "eval_backend",
     "evaluate",
-    "evaluate_compiled",
     "evaluate_construct",
     "evaluate_construct_many",
     "evaluate_many",
     "evaluate_many_compiled",
     "expand_wildcards",
     "has_recursive_steps",
-    "legacy_picked_elements",
     "name_test",
     "parse_construct_query",
     "parse_query",
@@ -88,5 +76,4 @@ __all__ = [
     "picked_elements",
     "query",
     "resolve_against_dtd",
-    "set_eval_backend",
 ]

@@ -32,8 +32,9 @@ from dataclasses import dataclass
 
 from ..errors import QueryAnalysisError
 from ..xmlmodel import Document, Element, fresh_id
+from ..xmlmodel.index import document_index
 from .ast import Condition, Query
-from .evaluator import bindings as enumerate_bindings
+from .engine import position_bindings
 from .parser import _Scanner, _parse_condition
 
 
@@ -250,22 +251,18 @@ def _instantiate(
 def evaluate_construct(query: ConstructQuery, document: Document) -> Document:
     """Run a CONSTRUCT query over one document."""
     variables = query.template.variables()
-    positions = {
-        element.id: position
-        for position, element in enumerate(document.iter())
+    rows = {
+        tuple(env[variable] for variable in variables)
+        for env in position_bindings(query.as_pick_query(), document)
     }
-    rows: dict[tuple[str, ...], dict[str, Element]] = {}
-    pick_facade = query.as_pick_query()
-    for env in enumerate_bindings(pick_facade, document):
-        if any(variable not in env for variable in variables):
-            continue
-        key = tuple(env[variable].id for variable in variables)
-        rows.setdefault(key, {v: env[v] for v in variables})
-    ordered = sorted(
-        rows.values(),
-        key=lambda row: tuple(positions[row[v].id] for v in variables),
-    )
-    children = [_instantiate(query.template, row) for row in ordered]
+    index = document_index(document)
+    children = [
+        _instantiate(
+            query.template,
+            {v: index.element_at(pos) for v, pos in zip(variables, row)},
+        )
+        for row in sorted(rows)
+    ]
     return Document(Element(query.view_name, children, fresh_id()))
 
 

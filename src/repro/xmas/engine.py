@@ -1,12 +1,12 @@
-"""Compiled query-execution engine: the mediator's serving hot path.
+"""Query-execution engine: the one evaluator behind every answer.
 
-The legacy evaluator (:mod:`repro.xmas.evaluator`) re-interprets the
-query AST per document and enumerates *every* complete binding
-environment, even though pick-element semantics (Section 2.1) only
-need the set of elements bound to the pick variable.  This module
-compiles a :class:`~repro.xmas.ast.Query` once -- at mediator view
-registration -- into a :class:`CompiledPlan` and evaluates it by
-**pick-projection** over a :class:`~repro.xmlmodel.index.DocumentIndex`:
+Pick-element semantics (Section 2.1) only need the set of elements
+bound to the pick variable, not every binding environment.  This
+module compiles a :class:`~repro.xmas.ast.Query` once -- at mediator
+view registration -- into a :class:`CompiledPlan` and evaluates it
+over a :class:`~repro.xmlmodel.index.DocumentIndex` (or a store's
+:class:`~repro.store.StoredDocumentIndex`) by positions, never by
+walking Element trees:
 
 1. *Compilation* numbers the condition nodes in preorder, precomputes
    each node's name-test letter set, locates the root-to-pick chain,
@@ -22,20 +22,31 @@ registration -- into a :class:`CompiledPlan` and evaluates it by
    steps close over chains by a reverse-document-order sweep of the
    candidate list -- an interval scan, never a re-descent.
 
-3. *Top-down pick projection*: walking only the root-to-pick chain,
-   the positions where the pick node participates in some complete
-   match are extracted; off-path subtrees contribute existence facts
-   only.  The picked set comes out sorted by position, i.e. in
-   document order -- identical to the legacy backend's ordering.
+3. Then one of two top-down modes:
 
-Pick-projection is sound whenever the variables cannot constrain the
+   * *pick projection* walks only the root-to-pick chain, extracting
+     the positions where the pick node participates in some complete
+     match; off-path subtrees contribute existence facts only.
+   * *enumeration* is a backtracking join that binds variables to
+     positions, pruned by the satisfaction sets: repeated variables
+     must agree, ``!=`` compares positions, and a branch whose pick is
+     already collected is cut.  Recursive steps descend through the
+     iterative :meth:`_PlanRun._chain_ends`, so the stack depth is
+     bounded by the query, never by the document.  It also produces
+     the full binding environments CONSTRUCT queries consume
+     (:func:`position_bindings`).
+
+   Either way picks come out sorted by position, i.e. in document
+   order.
+
+Pick projection is sound whenever the variables cannot constrain the
 search beyond the injective-sibling rule: every variable bound at one
 node, and no inequality relating two nodes on a common root-to-leaf
 condition path (inequalities across *separated* nodes are free: the
 injective child assignment places them in disjoint subtrees).  Plans
-that fail the analysis fall back to the legacy full-enumeration
-backend -- which also serves as the differential-testing oracle, see
-``tests/xmas/test_engine_differential.py``.
+that fail the analysis are enumerated.  The differential-testing
+oracle is the original backtracking tree matcher, kept under
+``tests/xmas/legacy_evaluator.py``.
 
 The plan cache registers with the :mod:`repro.regex.kernel` registry,
 so ``clear_caches()`` / ``kernel_stats()`` / CLI ``--stats`` cover it
@@ -46,7 +57,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, NamedTuple
+from typing import TYPE_CHECKING, Iterator, NamedTuple
 
 from .. import obs
 from ..regex import kernel
@@ -91,17 +102,17 @@ class CompiledPlan:
     """A query compiled for repeated evaluation.
 
     ``pick_path`` is the chain of plan-node indices from the root to
-    the (unique) pick node; ``projectable`` says whether the
-    pick-projection strategy applies, with ``fallback_reason``
-    explaining a ``False`` (surfaced by ``describe`` and the engine
-    tests).
+    the (first) pick node; ``projectable`` says whether the
+    pick-projection strategy applies, with ``enumeration_reason``
+    explaining a ``False`` (such plans are enumerated; surfaced by
+    ``describe`` and the engine tests).
     """
 
     query: Query
     nodes: tuple[PlanNode, ...]
     pick_path: tuple[int, ...]
     projectable: bool
-    fallback_reason: str | None
+    enumeration_reason: str | None
 
     def describe(self) -> str:
         lines = [
@@ -109,8 +120,8 @@ class CompiledPlan:
             f" {len(self.nodes)} condition nodes",
             f"  strategy: {'pick-projection' if self.projectable else 'enumeration'}",
         ]
-        if self.fallback_reason:
-            lines.append(f"  fallback: {self.fallback_reason}")
+        if self.enumeration_reason:
+            lines.append(f"  enumerated: {self.enumeration_reason}")
         lines.append(
             "  pick path: "
             + " -> ".join(
@@ -204,7 +215,7 @@ def _compile(query: Query) -> CompiledPlan:
         nodes=tuple(nodes),
         pick_path=tuple(path),
         projectable=projectable,
-        fallback_reason=reason,
+        enumeration_reason=reason,
     )
 
 
@@ -499,9 +510,9 @@ class _PlanRun:
             adjacency.append(edges)
         return hopcroft_karp(adjacency, len(slots)) == len(remaining)
 
-    def picked_positions(self) -> list[int]:
-        plan = self.plan
-        nodes = plan.nodes
+    def satisfy(self) -> bool:
+        """Run the bottom-up pass; False when the document cannot match."""
+        nodes = self.plan.nodes
         # Leaves first: they are cheap (shared label sets) and every
         # condition is existential, so one empty leaf empties the whole
         # answer before any sibling matching runs.
@@ -509,14 +520,25 @@ class _PlanRun:
             if not node.children:
                 self._compute(node)
                 if not self.sat[node.index]:
-                    return []
+                    return False
         for node in reversed(nodes):
             if node.children:
                 self._compute(node)
                 if not self.sat[node.index]:
-                    return []
-        if 0 not in self.sat[0]:
+                    return False
+        return 0 in self.sat[0]
+
+    def picked_positions(self) -> list[int]:
+        if not self.satisfy():
             return []
+        plan = self.plan
+        if not plan.projectable:
+            pick = plan.query.pick_variable
+            picked: set[int] = set()
+            for env in self.bindings(picked):
+                picked.add(env[pick])
+            return sorted(picked)
+        nodes = plan.nodes
         root = nodes[0]
         occupancy = (
             self._chain_ends(root, {0}) if root.recursive else {0}
@@ -542,6 +564,97 @@ class _PlanRun:
             )
         return sorted(occupancy)
 
+    # -- enumeration: a backtracking join over positions -----------------
+
+    def bindings(
+        self, picked: set[int] | None = None
+    ) -> Iterator[dict[str, int]]:
+        """Every complete binding environment, variables -> positions.
+
+        Requires :meth:`satisfy`.  Each condition node is assigned to a
+        position in its satisfaction set (so every branch taken can
+        still match structurally); a recursive node binds every chain
+        end reachable from that position.  Repeated variables must bind
+        one position, and ``!=`` compares positions.  Generators nest
+        once per condition node and sibling slot, so the stack depth is
+        bounded by the query.
+
+        With ``picked``, a branch whose pick variable is bound to an
+        already-collected position is cut: its completions could only
+        re-derive a known pick.  Pick-path children are assigned first,
+        so after the pick binds, the remaining siblings are existence
+        checks the cut stops at their first success.
+        """
+        nodes = self.plan.nodes
+        on_path = set(self.plan.pick_path)
+        order = [
+            sorted(node.children, key=lambda c: c not in on_path)
+            for node in nodes
+        ]
+        partners: dict[str, list[str]] = {}
+        for pair in self.plan.query.inequalities:
+            first, second = tuple(pair)
+            partners.setdefault(first, []).append(second)
+            partners.setdefault(second, []).append(first)
+        pick = self.plan.query.pick_variable
+        sat = self.sat
+        children = self.index.children
+
+        def cut(env: dict[str, int]) -> bool:
+            return picked is not None and env.get(pick) in picked
+
+        def bind(
+            variable: str | None, pos: int, env: dict[str, int]
+        ) -> dict[str, int] | None:
+            if variable is None:
+                return env
+            bound = env.get(variable)
+            if bound is not None:
+                return env if bound == pos else None
+            others = partners.get(variable, ())
+            if any(env.get(other) == pos for other in others):
+                return None
+            return {**env, variable: pos}
+
+        def match(
+            node: PlanNode, start: int, env: dict[str, int]
+        ) -> Iterator[dict[str, int]]:
+            ends = (
+                self._chain_ends(node, {start}) if node.recursive else (start,)
+            )
+            for end in ends:
+                if cut(env):
+                    return
+                extended = bind(node.variable, end, env)
+                if extended is not None:
+                    yield from assign(
+                        order[node.index], 0, children[end], (), extended
+                    )
+
+        def assign(
+            conditions: list[int],
+            k: int,
+            slots: list[int],
+            used: tuple[int, ...],
+            env: dict[str, int],
+        ) -> Iterator[dict[str, int]]:
+            if k == len(conditions):
+                yield env
+                return
+            condition = nodes[conditions[k]]
+            satisfied = sat[condition.index]
+            for child in slots:
+                if cut(env):
+                    return
+                if child in satisfied and child not in used:
+                    for extended in match(condition, child, env):
+                        yield from assign(
+                            conditions, k + 1, slots, used + (child,),
+                            extended,
+                        )
+
+        return match(nodes[0], 0, {})
+
 
 # ---------------------------------------------------------------------------
 # answers and their provenance (the materialized-view cache's raw material)
@@ -554,9 +667,8 @@ class PickOrigin(NamedTuple):
     ``doc`` is the ordinal of the source document in the evaluated
     list, ``pos`` the picked element's preorder position in that
     document's index, and ``end`` the exclusive end of its descendant
-    interval (``-1``/``-1`` when the legacy fallback picked an element
-    the index cannot place).  :mod:`repro.mediator.matview` stores
-    these alongside cached answers to splice per-document deltas.
+    interval.  :mod:`repro.mediator.matview` stores these alongside
+    cached answers to splice per-document deltas.
     """
 
     doc: int
@@ -601,30 +713,15 @@ class Answer(Document):
 
 
 def _picked_with_origins(
-    query: Query,
     plan: CompiledPlan,
     document: Document,
     ordinal: int,
     origins: list[PickOrigin] | None,
 ) -> list[Element]:
     """One document's picks, appending their origins when recording."""
-    if not plan.projectable:
-        kernel.EVENTS["engine.fallback"] += 1
-        from .evaluator import legacy_picked_elements
-
-        picked = legacy_picked_elements(query, document)
-        if origins is not None:
-            index = document_index(document)
-            for element in picked:
-                pos = index.position_of(element)
-                if pos is None:
-                    origins.append(PickOrigin(ordinal, -1, -1))
-                else:
-                    origins.append(
-                        PickOrigin(ordinal, pos, index.end[pos])
-                    )
-        return picked
-    kernel.EVENTS["engine.projected"] += 1
+    kernel.EVENTS[
+        "engine.projected" if plan.projectable else "engine.enumerated"
+    ] += 1
     index = document_index(document)
     positions = _PlanRun(plan, index).picked_positions()
     if origins is not None:
@@ -640,33 +737,31 @@ def _picked_with_origins(
 
 
 def compiled_picked_elements(
-    query: Query, document: Document, plan: CompiledPlan | None = None
+    query: Query, document: Document
 ) -> list[Element]:
-    """Pick-variable elements, document order -- the compiled backend.
+    """Pick-variable elements of one document, document order."""
+    return _picked_with_origins(compile_query(query), document, 0, None)
 
-    Non-projectable plans (see :class:`CompiledPlan`) fall back to the
-    legacy full-enumeration evaluator.
+
+def position_bindings(
+    query: Query, document: Document
+) -> Iterator[dict[str, int]]:
+    """Every complete binding environment, variables -> positions.
+
+    The full enumeration (no pick cut) over the document's index; the
+    positions index ``document_index(document)``.
     """
-    if plan is None:
-        plan = compile_query(query)
-    if not plan.projectable:
-        kernel.EVENTS["engine.fallback"] += 1
-        from .evaluator import legacy_picked_elements
-
-        return legacy_picked_elements(query, document)
-    kernel.EVENTS["engine.projected"] += 1
-    index = document_index(document)
-    run = _PlanRun(plan, index)
-    return [index.element_at(pos) for pos in run.picked_positions()]
-
-
-def evaluate_compiled(query: Query, document: Document) -> Answer:
-    """Compiled-backend ``evaluate`` (same contract as the legacy one)."""
-    return evaluate_many_compiled(query, [document])
+    run = _PlanRun(compile_query(query), document_index(document))
+    if run.satisfy():
+        yield from run.bindings()
 
 
 def evaluate_many_compiled(query: Query, documents: list[Document]) -> Answer:
-    """Compiled-backend ``evaluate_many`` (one plan, many documents)."""
+    """Run a query over several documents: one plan, picks concatenated.
+
+    Every evaluation passes through here (``repro.xmas.evaluate`` and
+    ``evaluate_many`` delegate by module-attribute lookup).
+    """
     with obs.span("engine.evaluate") as sp:
         index_hits = _index_module._index_hits
         index_misses = _index_module._index_misses
@@ -675,7 +770,7 @@ def evaluate_many_compiled(query: Query, documents: list[Document]) -> Answer:
         picks: list[Element] = []
         for ordinal, document in enumerate(documents):
             picks.extend(
-                _picked_with_origins(query, plan, document, ordinal, origins)
+                _picked_with_origins(plan, document, ordinal, origins)
             )
         sp.set_attribute("view", query.view_name)
         sp.set_attribute(

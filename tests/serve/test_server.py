@@ -203,6 +203,36 @@ class TestAdmissionController:
         admission.release()
 
 
+@pytest.mark.parametrize(
+    "fields",
+    [
+        '"budget": NaN',
+        '"budget": Infinity',
+        '"budget": true',
+        '"budget": "1"',
+        '"budget": 0',
+        '"degrade": "no"',
+        '"degrade": 1',
+        '"cache": "no"',
+        '"cache": null',
+    ],
+)
+def test_union_rejects_wrong_typed_fields(fields):
+    """A budget must be a finite positive number (not a bool); degrade
+    and cache must be JSON booleans -- never coerced."""
+    mediator = build_serve_workload("paper")
+    try:
+        server = MediatorServer(mediator)
+        line = '{"op": "union", "view": "journals", %s}' % fields
+        response, shutdown = server._handle_line(line.encode())
+    finally:
+        mediator.close()
+    assert not shutdown
+    assert response["ok"] is False
+    assert response["error"]["code"] == "SRV001"
+    assert server.latency.count == 0
+
+
 class TestAdmissionOverSockets:
     def test_queue_full_surfaces_srv003(self):
         # One slow source (50ms latency), inflight=1, queue=0: a second

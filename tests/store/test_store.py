@@ -476,6 +476,30 @@ class TestSourceIntegration:
             source.query(self._query())
             assert store.cache_info()["hydrations"] == 0
 
+    def test_enumerated_query_never_hydrates(self):
+        """A non-projectable plan is enumerated over the stored arrays
+        too, and answers like the in-memory source: 0 hydrations."""
+        from repro.mediator import Source
+        from repro.xmas import compile_query
+
+        query = parse_query(
+            "v = SELECT P WHERE D:<department> <professor>"
+            " P:<publication><journal/></publication> </> </> AND D != P",
+            source="dept",
+        )
+        assert not compile_query(query).projectable
+        schema, documents = self._corpus()
+        expected = Source("dept", schema, documents, validate=False).query(query)
+        with DocumentStore(":memory:") as store:
+            for document in documents:
+                store.ingest_document(document, source="dept")
+            source = Source.from_store("dept", schema, store)
+            store.drop_caches()
+            answer = source.query(query)
+            assert store.cache_info()["hydrations"] == 0
+            assert answer.root.children
+            assert answer.root.structurally_equal(expected.root)
+
 
 class TestSerialization:
     def test_stored_document_serializes_via_hydration(self):

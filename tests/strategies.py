@@ -139,14 +139,18 @@ def eval_query_strategy(
     max_depth: int = 3,
     view_name: str = "v",
     pick_variable: str = "P",
+    non_projectable: bool = False,
 ):
     """Random pick-element queries for evaluator differential tests.
 
     Covers the full evaluable language: name disjunctions and
     wildcards, PCDATA equality, recursive steps, extra variables, and
     ID inequalities (drawn over arbitrary variable pairs, so some
-    queries exercise the compiled engine's enumeration fallback and
-    others its pick-projection path).
+    queries exercise the engine's enumeration mode and most its
+    pick-projection path).  ``non_projectable=True`` forces every
+    query into enumeration: either one variable bound at two nodes
+    (the pick variable when the pick is one of them) or an inequality
+    between an ancestor and a descendant condition.
     """
 
     test_names = st.one_of(
@@ -175,9 +179,28 @@ def eval_query_strategy(
         )
         return cond(*(chosen or ()), children=children, recursive=recursive)
 
+    def _ends(root) -> list[int]:
+        """Preorder subtree ends: node ``i`` spans ``[i, ends[i])``."""
+        ends: list[int] = []
+
+        def walk(node) -> int:
+            slot = len(ends)
+            ends.append(0)
+            end = slot + 1
+            for child in node.children:
+                end = walk(child)
+            ends[slot] = end
+            return end
+
+        walk(root)
+        return ends
+
     @st.composite
     def _queries(draw):
         root = draw(_conditions(0))
+        if non_projectable and not root.children:
+            # two nodes on one path, so both forcings are possible
+            root = cond(*(draw(test_names) or ()), children=(root,))
         nodes = list(root.iter_nodes())
         pick_index = draw(st.integers(0, len(nodes) - 1))
         extra_vars = draw(
@@ -189,6 +212,39 @@ def eval_query_strategy(
             slot = draw(st.integers(0, len(nodes) - 1))
             if variables[slot] is None:
                 variables[slot] = extra
+        inequalities = []
+        if non_projectable:
+            ends = _ends(root)
+            if draw(st.booleans()):
+                first, second = draw(
+                    st.lists(
+                        st.integers(0, len(nodes) - 1),
+                        min_size=2,
+                        max_size=2,
+                        unique=True,
+                    )
+                )
+                repeated = (
+                    pick_variable if pick_index in (first, second) else "R"
+                )
+                variables[first] = variables[second] = repeated
+            else:
+                ancestor, descendant = draw(
+                    st.sampled_from(
+                        [
+                            (a, d)
+                            for a in range(len(nodes))
+                            for d in range(a + 1, ends[a])
+                        ]
+                    )
+                )
+                if variables[ancestor] is None:
+                    variables[ancestor] = "U"
+                if variables[descendant] is None:
+                    variables[descendant] = "W"
+                inequalities.append(
+                    (variables[ancestor], variables[descendant])
+                )
         counter = [-1]
 
         def rebuild(node):
@@ -201,8 +257,7 @@ def eval_query_strategy(
             )
 
         rebuilt = rebuild(root)
-        bound = sorted(v for v in variables if v is not None)
-        inequalities = []
+        bound = sorted({v for v in variables if v is not None})
         if len(bound) >= 2 and draw(st.booleans()):
             pair = draw(
                 st.lists(

@@ -5,6 +5,9 @@ import pytest
 from repro.cli import main
 from repro.dtd import serialize_dtd
 from repro.workloads import paper
+from repro.xmas import parse_query
+from repro.xmlmodel import parse_document, serialize_document
+from tests.xmas.legacy_evaluator import legacy_evaluate_many
 
 DTD_PAPER_NOTATION = """
 {<professor : name, (journal | conference)*>
@@ -130,24 +133,23 @@ class TestEvaluateValidate:
         assert "<journal>J</journal>" in out
 
     def test_evaluate_alias_and_backends(self, files, capsys):
+        """``eval`` is ``evaluate``; both print what the legacy oracle
+        computes, and there is no backend switch left to select."""
         outputs = []
-        for backend in ("legacy", "compiled"):
+        for command in ("eval", "evaluate"):
             assert (
-                main(
-                    [
-                        "eval",
-                        "--query",
-                        files["query"],
-                        "--backend",
-                        backend,
-                        files["doc"],
-                    ]
-                )
-                == 0
+                main([command, "--query", files["query"], files["doc"]]) == 0
             )
             outputs.append(capsys.readouterr().out)
-        assert outputs[0] == outputs[1]
+        oracle = legacy_evaluate_many(
+            parse_query(QUERY), [parse_document(DOC)]
+        )
+        assert outputs[0] == outputs[1] == serialize_document(oracle)
         assert "<journal>J</journal>" in outputs[0]
+        with pytest.raises(SystemExit) as excinfo:
+            main(["eval", "--query", files["query"], "--backend", "legacy",
+                  files["doc"]])
+        assert excinfo.value.code == 2
 
     def test_evaluate_stats_reports_engine_caches(self, files, capsys):
         assert (
@@ -156,8 +158,6 @@ class TestEvaluateValidate:
                     "evaluate",
                     "--query",
                     files["query"],
-                    "--backend",
-                    "compiled",
                     "--stats",
                     files["doc"],
                 ]
@@ -205,17 +205,13 @@ class TestAsk:
         assert "<name>Y</name>" in out
 
     def test_ask_backends_agree(self, files, tmp_path, capsys):
-        outputs = []
-        for backend in ("legacy", "compiled"):
-            assert (
-                self._ask(
-                    files, tmp_path, "--backend", backend, "--strategy",
-                    "materialize",
-                )
-                == 0
-            )
-            outputs.append(capsys.readouterr().out)
-        assert outputs[0] == outputs[1]
+        """Both strategies print what the legacy oracle computes by
+        materializing the view and querying it."""
+        view = legacy_evaluate_many(parse_query(QUERY), [parse_document(DOC)])
+        oracle = legacy_evaluate_many(parse_query(self.CLIENT), [view])
+        for strategy in ("materialize", "compose"):
+            assert self._ask(files, tmp_path, "--strategy", strategy) == 0
+            assert capsys.readouterr().out == serialize_document(oracle)
 
     def test_ask_explain(self, files, tmp_path, capsys):
         assert self._ask(files, tmp_path, "--explain") == 0

@@ -9,15 +9,13 @@ from repro.xmas import (
     compile_query,
     compiled_picked_elements,
     cond,
-    eval_backend,
     evaluate,
-    evaluate_compiled,
     parse_query,
     query as make_query,
-    set_eval_backend,
 )
 from repro.xmas.engine import hopcroft_karp
 from repro.xmlmodel import Document, DocumentIndex, document_index, elem, parse_document, text_elem
+from tests.xmas.legacy_evaluator import legacy_evaluate_many
 
 
 @pytest.fixture
@@ -122,7 +120,8 @@ class TestCompilation:
         )
         plan = compile_query(make_query("v", "P", root))
         assert not plan.projectable
-        assert "repeated" in plan.fallback_reason
+        assert "repeated" in plan.enumeration_reason
+        assert "enumeration" in plan.describe()
 
     def test_path_inequality_falls_back(self):
         root = cond(
@@ -132,7 +131,7 @@ class TestCompilation:
             make_query("v", "P", root, inequalities=[("A", "P")])
         )
         assert not plan.projectable
-        assert "inequality" in plan.fallback_reason
+        assert "inequality" in plan.enumeration_reason
 
     def test_separated_inequality_stays_projectable(self):
         root = cond(
@@ -165,13 +164,8 @@ class TestCompiledEvaluation:
     def test_matches_legacy_on_paper_query(self, dept_doc):
         from repro.workloads.paper import q2
 
-        old = set_eval_backend("legacy")
-        try:
-            legacy = evaluate(q2(), dept_doc)
-        finally:
-            set_eval_backend(old)
-        compiled = evaluate_compiled(q2(), dept_doc)
-        assert compiled.root.structurally_equal(legacy.root)
+        legacy = legacy_evaluate_many(q2(), [dept_doc])
+        assert evaluate(q2(), dept_doc).root.structurally_equal(legacy.root)
 
     def test_sibling_injectivity(self):
         # one journal cannot satisfy two sibling journal conditions
@@ -210,20 +204,13 @@ class TestCompiledEvaluation:
         assert positions == sorted(positions)
         assert [p.children[0].text for p in picks] == ["a", "b", "e"]
 
-    def test_fallback_counts_events(self):
+    def test_enumeration_counts_events(self):
         clear_caches()
         root = cond("a", var="A", children=(cond("b", var="P"),))
         q = make_query("v", "P", root, inequalities=[("A", "P")])
         doc = Document(elem("a", text_elem("b", "t")))
         assert len(compiled_picked_elements(q, doc)) == 1
-        assert kernel_stats()["events"].get("engine.fallback", 0) == 1
-
-    def test_default_backend_is_compiled(self):
-        assert eval_backend() in ("compiled", "legacy")
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError):
-            set_eval_backend("nonsense")
+        assert kernel_stats()["events"].get("engine.enumerated", 0) == 1
 
 
 class TestDeepDocuments:
@@ -255,11 +242,7 @@ class TestDeepDocuments:
         q = parse_query(
             "v = SELECT S WHERE <report> S:<section*><leaf/></> </>"
         )
-        old = set_eval_backend("compiled")
-        try:
-            answer = evaluate(q, doc)
-        finally:
-            set_eval_backend(old)
+        answer = evaluate(q, doc)
         # only the innermost section holds the leaf
         assert len(answer.root.children) == 1
         assert answer.root.children[0].name == "section"
@@ -267,3 +250,20 @@ class TestDeepDocuments:
         q_all = parse_query("v = SELECT S WHERE <report> S:<section*/> </>")
         picks = compiled_picked_elements(q_all, doc)
         assert len(picks) == self.DEPTH
+
+    def test_enumerate_deep_chain(self):
+        """A non-projectable plan over the chain: enumerated by
+        positions, with the chain walked iteratively."""
+        doc = self._chain()
+        q = parse_query(
+            "v = SELECT S WHERE R:<report> S:<section*><leaf/></> </>"
+            " AND R != S"
+        )
+        assert not compile_query(q).projectable
+        picks = compiled_picked_elements(q, doc)
+        assert len(picks) == 1
+        assert picks[0].children[0].name == "leaf"
+        q_all = parse_query(
+            "v = SELECT S WHERE R:<report> S:<section*/> </> AND R != S"
+        )
+        assert len(compiled_picked_elements(q_all, doc)) == self.DEPTH

@@ -1,10 +1,13 @@
-"""Differential tests: compiled engine vs. the legacy evaluator.
+"""Differential tests: the query engine vs. the legacy tree matcher.
 
-The legacy backtracking evaluator is the oracle: on random documents
-and random pick-element queries (wildcards, disjunctions, PCDATA
-conditions, recursive steps, extra variables, ID inequalities) both
-backends must produce *identical* view documents -- same pick
-elements, same document order, same copied structure.
+The legacy backtracking matcher (``tests/xmas/legacy_evaluator.py``)
+is the oracle: on random documents and random pick-element queries
+(wildcards, disjunctions, PCDATA conditions, recursive steps, extra
+variables, ID inequalities) the engine must produce *identical* view
+documents -- same pick elements, same document order, same copied
+structure.  The ``non_projectable`` strategy forces every query into
+the engine's enumeration mode, which the default strategy reaches
+only rarely.
 """
 
 from __future__ import annotations
@@ -12,14 +15,19 @@ from __future__ import annotations
 from hypothesis import given, settings
 
 from repro.xmas import (
+    bindings,
     compile_query,
     compiled_picked_elements,
     evaluate,
-    evaluate_compiled,
-    legacy_picked_elements,
-    set_eval_backend,
+    picked_elements,
 )
+from repro.xmas.engine import position_bindings
 from tests.strategies import document_strategy, eval_query_strategy
+from tests.xmas.legacy_evaluator import (
+    legacy_bindings,
+    legacy_evaluate_many,
+    legacy_picked_elements,
+)
 
 
 @settings(max_examples=200, deadline=None)
@@ -36,13 +44,8 @@ def test_picked_elements_agree(document, query):
 def test_view_documents_agree(document, query):
     """The constructed views agree in structure and order (fresh IDs
     legitimately differ)."""
-    old = set_eval_backend("legacy")
-    try:
-        legacy_view = evaluate(query, document)
-    finally:
-        set_eval_backend(old)
-    compiled_view = evaluate_compiled(query, document)
-    assert compiled_view.root.structurally_equal(legacy_view.root)
+    legacy_view = legacy_evaluate_many(query, [document])
+    assert evaluate(query, document).root.structurally_equal(legacy_view.root)
 
 
 @settings(max_examples=100, deadline=None)
@@ -59,16 +62,50 @@ def test_plan_compilation_idempotent(query):
     assert again == first
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=250, deadline=None)
+@given(
+    document=document_strategy(),
+    query=eval_query_strategy(non_projectable=True),
+)
+def test_enumerated_picks_agree(document, query):
+    """Repeated variables and on-path inequalities: enumeration mode."""
+    assert not compile_query(query).projectable
+    legacy = legacy_picked_elements(query, document)
+    assert [e.id for e in picked_elements(query, document)] == [
+        e.id for e in legacy
+    ]
+
+
+def _position_rows(envs, document) -> set[tuple]:
+    position = {element.id: pos for pos, element in enumerate(document.iter())}
+    return {
+        tuple(sorted((var, position[element.id]) for var, element in env.items()))
+        for env in envs
+    }
+
+
+@settings(max_examples=250, deadline=None)
+@given(
+    document=document_strategy(),
+    query=eval_query_strategy(non_projectable=True),
+)
+def test_enumerated_bindings_agree(document, query):
+    """CONSTRUCT's binding environments, as sets of position tuples."""
+    expected = _position_rows(legacy_bindings(query, document), document)
+    rows = {
+        tuple(sorted(env.items()))
+        for env in position_bindings(query, document)
+    }
+    assert rows == expected
+    assert _position_rows(bindings(query, document), document) == expected
+
+
+@settings(max_examples=100, deadline=None)
 @given(document=document_strategy(), query=eval_query_strategy())
-def test_dispatch_respects_backend(document, query):
-    """The public entry point yields identical answers under both
-    ``REPRO_EVAL_BACKEND`` values."""
-    old = set_eval_backend("legacy")
-    try:
-        via_legacy = evaluate(query, document)
-        set_eval_backend("compiled")
-        via_compiled = evaluate(query, document)
-    finally:
-        set_eval_backend(old)
-    assert via_compiled.root.structurally_equal(via_legacy.root)
+def test_projectable_bindings_agree(document, query):
+    """The enumerator also serves projectable plans (CONSTRUCT does)."""
+    rows = {
+        tuple(sorted(env.items()))
+        for env in position_bindings(query, document)
+    }
+    assert rows == _position_rows(legacy_bindings(query, document), document)

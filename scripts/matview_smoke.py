@@ -9,8 +9,10 @@ Drives the materialized-view cache through the two front ends:
 2. **Serve** — a cached server session over a real socket: the first
    union misses, the repeat hits, ``cache=False`` bypasses (SRV008)
    without evicting, and an edit to a source document is served by
-   provenance-guided delta maintenance.  Server stats must agree with
-   the per-response cache fields.
+   provenance-guided delta maintenance.  Every cached reply (the hit's
+   and the delta's cached text) must be byte-identical to a
+   ``"cache": false`` reply for the same view.  Server stats must
+   agree with the per-response cache fields.
 
 Exit status: 0 when every check passes, 1 otherwise.  Wired into
 ``make matview-smoke`` / ``make check``.
@@ -136,6 +138,12 @@ def smoke_serve() -> None:
                 "serve: bypass carries SRV008",
                 bypass.get("cache_code") == "SRV008",
             )
+            # The hit's cached text must be byte-identical to a fresh
+            # serialization of a recompute.
+            check(
+                "serve: hit text equals a cache=false reply",
+                second["answer"] == bypass["answer"],
+            )
             check(
                 "serve: bypass does not evict",
                 client.union("journals")["cache"] == "hit",
@@ -160,9 +168,15 @@ def smoke_serve() -> None:
                 "serve: delta equals a cold recompute",
                 delta["answer"] == oracle["answer"],
             )
+            after = client.union("journals")
+            check("serve: union after the delta hits", after["cache"] == "hit")
+            check(
+                "serve: hit after the delta equals a cold recompute",
+                after["answer"] == oracle["answer"],
+            )
             stats = client.stats()
             matview = stats.get("matview", {})
-            check("serve: stats count hits", matview.get("hits", 0) >= 2)
+            check("serve: stats count hits", matview.get("hits", 0) >= 3)
             check("serve: stats count the delta", matview.get("deltas", 0) == 1)
             check(
                 "serve: stats count the bypasses",

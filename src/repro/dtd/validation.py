@@ -59,43 +59,66 @@ class ValidationReport:
 
 
 def validate_element(element: Element, dtd: Dtd) -> ValidationReport:
-    """Check ``element |= dtd`` per Definition 2.3; full report."""
+    """Check ``element |= dtd`` per Definition 2.3; full report.
+
+    Iterative (explicit stack, document order), so recursive-chain
+    documents nested deeper than the interpreter's recursion limit
+    validate too.  A node's path string is built only when it has a
+    violation to report: the paths of a deep chain grow quadratically.
+    """
     report = ValidationReport()
-    _validate(element, dtd, element.name, report)
+    # (element, path): ``path`` is a ``(parent_path, name, index)``
+    # link, ``index`` None at the root
+    stack: list[tuple[Element, tuple]] = [
+        (element, ((), element.name, None))
+    ]
+    while stack:
+        node, path = stack.pop()
+        if node.name not in dtd:
+            report.add(
+                _path_text(path),
+                f"element name {node.name!r} is not declared",
+            )
+            continue
+        declared = dtd.type_of(node.name)
+        if node.is_pcdata:
+            if not isinstance(declared, Pcdata):
+                report.add(
+                    _path_text(path),
+                    f"character content but {node.name!r} is declared "
+                    f"with a content model",
+                )
+            continue
+        if isinstance(declared, Pcdata):
+            # Definition 2.3 demands string content for PCDATA types; an
+            # element-content node (even with zero children) violates it.
+            report.add(
+                _path_text(path),
+                f"element content but {node.name!r} is declared #PCDATA",
+            )
+            continue
+        children = node.children
+        word = [(child.name, 0) for child in children]
+        if not to_dfa(declared).accepts(word):
+            found = ", ".join(child.name for child in children) or "(empty)"
+            report.add(
+                _path_text(path),
+                f"children [{found}] do not match content model of "
+                f"{node.name!r}",
+            )
+        for index in range(len(children) - 1, -1, -1):
+            child = children[index]
+            stack.append((child, (path, child.name, index)))
     return report
 
 
-def _validate(element: Element, dtd: Dtd, path: str, report: ValidationReport) -> None:
-    if element.name not in dtd:
-        report.add(path, f"element name {element.name!r} is not declared")
-        return
-    declared = dtd.type_of(element.name)
-    if element.is_pcdata:
-        if not isinstance(declared, Pcdata):
-            report.add(
-                path,
-                f"character content but {element.name!r} is declared "
-                f"with a content model",
-            )
-        return
-    if isinstance(declared, Pcdata):
-        # Definition 2.3 demands string content for PCDATA types; an
-        # element-content node (even with zero children) violates it.
-        report.add(
-            path,
-            f"element content but {element.name!r} is declared #PCDATA",
-        )
-        return
-    word = [(child.name, 0) for child in element.children]
-    if not to_dfa(declared).accepts(word):
-        found = ", ".join(child.name for child in element.children) or "(empty)"
-        report.add(
-            path,
-            f"children [{found}] do not match content model of "
-            f"{element.name!r}",
-        )
-    for index, child in enumerate(element.children):
-        _validate(child, dtd, f"{path}/{child.name}[{index}]", report)
+def _path_text(path: tuple) -> str:
+    """``root/child[i]/...`` from a ``(parent_path, name, index)`` chain."""
+    steps: list[str] = []
+    while path:
+        path, name, index = path
+        steps.append(name if index is None else f"{name}[{index}]")
+    return "/".join(reversed(steps))
 
 
 def validate_document(document: Document, dtd: Dtd) -> ValidationReport:

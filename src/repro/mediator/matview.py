@@ -41,6 +41,13 @@ edits a served master in place either; it builds a *new* root sharing
 the untouched pick subtrees, so answers held from earlier hits stay
 stable.
 
+Served text is cached the same way.  The first hit of an entry version
+renders the master once, as one fragment per top-level pick plus
+their join, and every later hit carries that text in
+``Answer.text``.  A delta re-renders only the fresh picks it splices
+(and only when the entry was rendered before); an invalidated entry
+drops its text with it.  The text is not charged to ``max_bytes``.
+
 Entries are LRU-bounded by an answer-size byte budget and the cache is
 thread-safe: one warm cache is shared by ``ParallelTransport`` workers
 and ``MediatorServer`` handler threads.  Counters fold into
@@ -67,9 +74,10 @@ from ..errors import STALE_DELTA_FALLBACK
 from ..regex import kernel
 from ..xmas import Query, evaluate_many
 from ..xmas.engine import Answer, CompiledPlan, PickOrigin, compile_query
-from ..xmlmodel import Document
+from ..xmlmodel import Document, Element, fresh_id
 from ..xmlmodel.element import mutation_stamp
 from ..xmlmodel.index import DocumentIndex, document_index
+from ..xmlmodel.serializer import join_document, serialize_element
 
 
 if TYPE_CHECKING:
@@ -198,6 +206,8 @@ class _Entry:
         "answer",
         "served",
         "pick_elems",
+        "fragments",
+        "text",
         "bytes",
         "built_stamp",
         "stamp",
@@ -233,6 +243,12 @@ class _Entry:
         self.pick_elems = [
             tuple(child.iter()) for child in answer.root.children
         ]
+        # The served text, rendered by the first hit of this entry
+        # version (a miss or a delta never renders a whole answer): one
+        # fragment per top-level pick, aligned with ``pick_elems``, so
+        # a delta re-renders only the picks it splices.
+        self.fragments: list[str] | None = None
+        self.text: str | None = None
         self.bytes = estimate_bytes(answer)
         self.built_stamp = built_stamp
         self.stamp = built_stamp
@@ -240,6 +256,19 @@ class _Entry:
         self.leg_docs = leg_docs
         self.docs = docs
         self.spliceable = spliceable
+
+    def render(self) -> None:
+        """Render the master's text and serve it from now on.
+
+        Called only once the master is proven intact (a fast hit, or a
+        re-arm hit past :meth:`answer_intact`), so the text is the
+        master's serialization for as long as the entry version lives.
+        """
+        self.fragments = [
+            _render_pick(pick) for pick in self.answer.root.children
+        ]
+        self.text = join_document(self.answer.root, self.fragments)
+        self.served = _served(self.answer, self.text)
 
     def answer_intact(self) -> bool:
         stamp = self.built_stamp
@@ -266,7 +295,7 @@ class _Entry:
         ]
 
 
-def _served(master: Answer) -> Answer:
+def _served(master: Answer, text: str | None = None) -> Answer:
     """The record every hit on ``master`` returns: built once per entry
     version, so a hit allocates nothing and repeat hits share it."""
     return Answer(
@@ -274,7 +303,13 @@ def _served(master: Answer) -> Answer:
         provenance=master.provenance,
         report=master.report,
         cache="hit",
+        text=text,
     )
+
+
+def _render_pick(pick: Element) -> str:
+    """One top-level pick's text, indented as a child of the answer root."""
+    return serialize_element(pick, level=1)
 
 
 def estimate_bytes(document: Document) -> int:
@@ -447,7 +482,8 @@ class MatViewCache:
         return "stale", None
 
     def peek(self, key: tuple, legs: Sequence[CacheLeg]) -> str:
-        """Non-mutating classification for ``explain()``.
+        """Non-mutating classification for ``explain()`` and
+        :meth:`Mediator.union_cached`.
 
         Returns ``"hit"``, ``"delta"``, ``"recompute"``, or ``"cold"``.
         """
@@ -493,6 +529,8 @@ class MatViewCache:
             if verdict in ("fast-hit", "rearm-hit"):
                 if verdict == "rearm-hit":
                     entry.stamp = stamp
+                if entry.text is None:
+                    entry.render()
                 self.hits += 1
                 self._entries.move_to_end(key)
                 with obs.span("matview.hit") as sp:
@@ -580,10 +618,9 @@ class MatViewCache:
         untouched pick subtrees (shared by reference).  Returns the
         new master, or ``None`` after dropping the entry when the
         spliced answer no longer validates against the inferred view
-        DTD (``MED007``).
+        DTD (``MED007``).  A rendered entry re-renders only the fresh
+        picks; the new master and the new hit record share its text.
         """
-        from ..xmlmodel import Element, fresh_id
-
         leg = entry.legs[dirty.leg]
         assert leg.delta_query is not None
         with obs.span("matview.delta") as sp:
@@ -625,8 +662,16 @@ class MatViewCache:
                     self._drop(entry.key)
                     return None
             dirty.index = document_index(dirty.document)
+            if entry.fragments is not None:
+                # Untouched picks passed answer_intact() in _classify,
+                # so their fragments still hold: render the fresh ones.
+                entry.fragments[start:stop] = [
+                    _render_pick(pick) for pick in new_children
+                ]
+                entry.text = join_document(maintained.root, entry.fragments)
+                maintained.text = entry.text
             entry.answer = maintained
-            entry.served = _served(maintained)
+            entry.served = _served(maintained, entry.text)
             entry.pick_elems[start:stop] = [
                 tuple(child.iter()) for child in new_children
             ]

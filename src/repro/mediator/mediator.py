@@ -699,6 +699,23 @@ class Mediator:
             self._union_legs[registration.name] = legs
         return legs
 
+    def union_cached(self, view_name: str) -> bool:
+        """True when :meth:`materialize_union` would answer
+        ``view_name`` from the cache right now, evaluating nothing.
+
+        A non-mutating peek (unknown views and cacheless mediators say
+        False); a mutation between this call and the materialization
+        can still turn the answer into a delta or a miss.
+        """
+        registration = self.union_views.get(view_name)
+        if registration is None or self.matview is None:
+            return False
+        verdict = self.matview.peek(
+            self._union_cache_key(registration),
+            self._union_cache_legs(registration),
+        )
+        return verdict == "hit"
+
     def materialize_union(
         self,
         view_name: str,

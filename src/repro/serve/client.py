@@ -69,7 +69,9 @@ class ServeClient:
         self._next_id += 1
         message = {"op": op, "id": self._next_id, **fields}
         self._socket.sendall(protocol.encode(message))
-        line = self._reader.readline(protocol.MAX_LINE_BYTES + 1)
+        # Unbounded: MAX_LINE_BYTES caps requests, and an answer can
+        # be far larger than any request.
+        line = self._reader.readline()
         if not line:
             raise ServeClientError("server closed the connection")
         try:

@@ -3,7 +3,9 @@
 A :class:`MediatorServer` keeps one warm :class:`~repro.mediator.Mediator`
 — view plans compiled, document indexes built, fan-out pool up — behind
 a TCP socket speaking the JSON-line protocol of
-:mod:`repro.serve.protocol`, one handler thread per connection.
+:mod:`repro.serve.protocol`.  One serving-loop thread reads every
+connection; it answers a union the cache already holds itself and hands
+every other request, in order, to the connection's own handler thread.
 
 What stands between the socket and the mediator is *admission control*
 (:class:`AdmissionController`): the request path is bounded at every
@@ -29,8 +31,13 @@ relationship to the paper's mediator architecture.
 
 from __future__ import annotations
 
+import json
+import logging
 import math
+import queue
+import selectors
 import socket
+import struct
 import threading
 from dataclasses import dataclass, field
 
@@ -46,6 +53,19 @@ from .protocol import (
     ServerOverloaded,
     UnknownOperation,
 )
+
+try:
+    import fcntl
+    import termios
+
+    _TIOCOUTQ: int | None = termios.TIOCOUTQ
+except (ImportError, AttributeError):  # not a Linux-like platform
+    _TIOCOUTQ = None
+
+_log = logging.getLogger(__name__)
+
+#: bytes the serving loop asks for per ``recv``
+_RECV_BYTES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -165,15 +185,96 @@ def _seconds(value: object) -> float:
         return math.inf
 
 
+def _unsent_bytes(connection: socket.socket) -> int | None:
+    """Bytes written to ``connection`` that the peer has not taken yet
+    (None where the platform cannot say)."""
+    if _TIOCOUTQ is None:
+        return None
+    try:
+        raw = fcntl.ioctl(connection.fileno(), _TIOCOUTQ, b"\0\0\0\0")
+    except OSError:
+        return None
+    return struct.unpack("i", raw)[0]
+
+
+class _Link:
+    """One client connection as the serving loop sees it.
+
+    The loop reads the socket and cuts request lines; whatever it does
+    not answer itself goes, in order, to the connection's handler
+    thread through ``inbox`` (``None`` ends the stream).
+    """
+
+    def __init__(self, connection: socket.socket) -> None:
+        self.connection = connection
+        self.buffer = bytearray()
+        self.inbox: queue.SimpleQueue = queue.SimpleQueue()
+        #: inbox items the handler thread has not yet begun to write;
+        #: the loop answers a line itself only while this is 0, so
+        #: replies keep their requests' order
+        self.pending = 0
+        self._lock = threading.Lock()
+        #: held by whoever writes a reply; the handler takes it before
+        #: it counts its item done, so a reply the loop writes can
+        #: never overtake one still being written
+        self.sending = threading.Lock()
+        #: set once the loop no longer watches the socket
+        self.released = threading.Event()
+        try:
+            send_buffer = connection.getsockopt(
+                socket.SOL_SOCKET, socket.SO_SNDBUF
+            )
+        except OSError:
+            send_buffer = 0
+        #: the largest reply the loop writes itself: into an empty send
+        #: buffer it cannot block, even when the peer stops reading
+        self.send_room = send_buffer // 2
+
+    def take_line(self) -> bytes | None:
+        """The next request line, cut as ``readline(MAX_LINE_BYTES + 1)``
+        would cut it; None until one is complete."""
+        limit = protocol.MAX_LINE_BYTES + 1
+        end = self.buffer.find(b"\n", 0, limit)
+        if end >= 0:
+            size = end + 1
+        elif len(self.buffer) >= limit:
+            size = limit
+        else:
+            return None
+        line = bytes(self.buffer[:size])
+        del self.buffer[:size]
+        return line
+
+    def hand(self, item: tuple[str, bytes]) -> None:
+        """Queue a ``("line", request)`` or ``("reply", payload)``."""
+        with self._lock:
+            self.pending += 1
+        self.inbox.put(item)
+
+    def done(self) -> None:
+        with self._lock:
+            self.pending -= 1
+
+
 class MediatorServer:
     """One warm mediator behind a JSON-line TCP socket.
 
     ``start()`` binds (``port=0`` picks a free port — ``address``
     reports the real one), warms the mediator's plans and indexes,
     installs the per-source concurrency gates, and spawns the accept
-    loop; ``stop()`` (or a client ``shutdown`` request) closes the
-    listening socket and joins the handler threads.  Usable as a
-    context manager.
+    loop and the serving loop; ``stop()`` (or a client ``shutdown``
+    request) closes the listening socket and joins the threads.
+    Usable as a context manager.
+
+    Each connection gets a handler thread, but one serving-loop thread
+    reads them all.  A union request the cache can answer right now
+    (:meth:`Mediator.union_cached`) is answered on the loop itself;
+    every other request goes to its connection's handler thread, which
+    may wait (admission, fan-out, a slow source) without holding up
+    other connections.  Only one thread runs Python at a time, so
+    answering hits on one thread costs no concurrency; it saves the
+    interpreter-lock hand-off between handler threads that would
+    otherwise cost more than the hit itself.
     """
 
     def __init__(
@@ -191,10 +292,19 @@ class MediatorServer:
         self.admission = AdmissionController(
             self.policy.max_inflight, self.policy.max_queue
         )
-        #: request latencies (seconds) as measured server-side
+        #: union latencies (seconds) as measured server-side, from
+        #: admission through serialization of the answer text
         self.latency = obs.Histogram()
         self._socket: socket.socket | None = None
         self._accept_thread: threading.Thread | None = None
+        self._loop_thread: threading.Thread | None = None
+        self._selector: selectors.BaseSelector | None = None
+        #: messages to the serving loop: ("attach" | "release", link)
+        #: or ("stop", None); each write to ``_waker`` wakes it
+        self._posts: queue.SimpleQueue = queue.SimpleQueue()
+        self._posts_lock = threading.Lock()
+        self._loop_done = False
+        self._waker: socket.socket | None = None
         self._handlers: list[threading.Thread] = []
         self._handlers_lock = threading.Lock()
         self._stopping = threading.Event()
@@ -223,6 +333,18 @@ class MediatorServer:
         listener.bind((self.host, self.port))
         listener.listen(128)
         self._socket = listener
+        self._selector = selectors.DefaultSelector()
+        wake_reader, self._waker = socket.socketpair()
+        wake_reader.setblocking(False)
+        self._waker.setblocking(False)
+        self._selector.register(wake_reader, selectors.EVENT_READ, None)
+        self._loop_thread = threading.Thread(
+            target=self._serve_loop,
+            args=(wake_reader,),
+            name="repro-serve-loop",
+            daemon=True,
+        )
+        self._loop_thread.start()
         self._accept_thread = threading.Thread(
             target=self._accept_loop,
             name="repro-serve-accept",
@@ -248,6 +370,9 @@ class MediatorServer:
         self._socket.close()
         if self._accept_thread is not None:
             self._accept_thread.join(timeout=5.0)
+        self._post(("stop", None))
+        if self._loop_thread is not None:
+            self._loop_thread.join(timeout=5.0)
         with self._handlers_lock:
             handlers = list(self._handlers)
         for handler in handlers:
@@ -292,18 +417,25 @@ class MediatorServer:
             handler.start()
 
     def _handle_connection(self, connection: socket.socket) -> None:
+        """Serve one connection: answer, in order, the requests the
+        serving loop hands over, until the stream ends."""
+        link = _Link(connection)
         try:
-            reader = connection.makefile("rb")
-            while not self._stopping.is_set():
-                line = reader.readline(protocol.MAX_LINE_BYTES + 1)
-                if not line:
+            if not self._post(("attach", link)):
+                return
+            while True:
+                item = link.inbox.get()
+                if item is None:
                     break
-                line = line.strip()
-                if not line:
-                    continue
-                response, shutdown = self._handle_line(line)
+                kind, data = item
+                shutdown = False
+                if kind == "line":
+                    response, shutdown = self._handle_line(data)
+                    data = protocol.encode(response)
                 try:
-                    connection.sendall(protocol.encode(response))
+                    with link.sending:
+                        link.done()
+                        connection.sendall(data)
                 except OSError:
                     break
                 if shutdown:
@@ -314,10 +446,161 @@ class MediatorServer:
                     ).start()
                     break
         finally:
+            if self._post(("release", link)):
+                link.released.wait()
             try:
                 connection.close()
             except OSError:
                 pass
+
+    # -- the serving loop ------------------------------------------------
+
+    def _post(self, message: tuple) -> bool:
+        """Send the serving loop a message; False once it has stopped."""
+        with self._posts_lock:
+            if self._loop_done or self._waker is None:
+                return False
+            self._posts.put(message)
+            try:
+                self._waker.send(b"\0")
+            except BlockingIOError:
+                pass  # a wake-up is already pending
+            return True
+
+    def _serve_loop(self, wake_reader: socket.socket) -> None:
+        selector = self._selector
+        assert selector is not None
+        links: set[_Link] = set()
+        running = True
+        while running:
+            for key, _ in selector.select():
+                link = key.data
+                if link is None:
+                    running = self._take_posts(wake_reader, links)
+                    if not running:
+                        break
+                    continue
+                try:
+                    self._read(link, links)
+                except Exception:
+                    # Never let one connection take the loop down.
+                    _log.exception("serving loop failed on a connection")
+                    self._end_stream(link, links)
+        selector.close()
+        wake_reader.close()
+
+    def _take_posts(
+        self, wake_reader: socket.socket, links: set[_Link]
+    ) -> bool:
+        """Apply the loop's messages; False when it must stop."""
+        try:
+            wake_reader.recv(4096)
+        except BlockingIOError:
+            pass
+        selector = self._selector
+        assert selector is not None
+        while True:
+            try:
+                kind, link = self._posts.get_nowait()
+            except queue.Empty:
+                return True
+            if kind == "attach":
+                try:
+                    selector.register(
+                        link.connection, selectors.EVENT_READ, link
+                    )
+                except (OSError, ValueError):  # closed under us
+                    self._end_stream(link, links)
+                    continue
+                links.add(link)
+            elif kind == "release":
+                self._unwatch(link, links)
+            else:
+                with self._posts_lock:
+                    self._loop_done = True
+                # Messages posted before the stop still need an answer.
+                while True:
+                    try:
+                        _, pending = self._posts.get_nowait()
+                    except queue.Empty:
+                        break
+                    if pending is not None and pending not in links:
+                        pending.inbox.put(None)
+                        pending.released.set()
+                for open_link in list(links):
+                    self._end_stream(open_link, links)
+                assert self._waker is not None
+                self._waker.close()
+                return False
+
+    def _unwatch(self, link: _Link, links: set[_Link]) -> None:
+        if link in links:
+            links.discard(link)
+            assert self._selector is not None
+            self._selector.unregister(link.connection)
+        link.released.set()
+
+    def _end_stream(self, link: _Link, links: set[_Link]) -> None:
+        self._unwatch(link, links)
+        link.inbox.put(None)
+
+    def _read(self, link: _Link, links: set[_Link]) -> None:
+        try:
+            chunk = link.connection.recv(_RECV_BYTES)
+        except OSError:
+            chunk = b""
+        if not chunk:
+            # A final line without its newline is still a request.
+            if link.buffer.strip():
+                link.hand(("line", bytes(link.buffer).strip()))
+            self._end_stream(link, links)
+            return
+        link.buffer += chunk
+        while True:
+            line = link.take_line()
+            if line is None:
+                return
+            line = line.strip()
+            if not line:
+                continue
+            if link.pending or not self._answerable_now(line):
+                link.hand(("line", line))
+                continue
+            response, _ = self._handle_line(line)
+            payload = protocol.encode(response)
+            if len(payload) <= link.send_room and link.sending.acquire(
+                blocking=False
+            ):
+                try:
+                    if _unsent_bytes(link.connection) == 0:
+                        link.connection.sendall(payload)
+                        continue
+                except OSError:
+                    self._end_stream(link, links)
+                    return
+                finally:
+                    link.sending.release()
+            # The handler is still writing, or writing here might block
+            # the loop on a peer that does not read: the handler thread
+            # writes this reply (and may wait) instead.
+            link.hand(("reply", payload))
+
+    def _answerable_now(self, line: bytes) -> bool:
+        """True when ``line`` asks for a union the cache holds right now
+        and an inflight slot is free, so answering it cannot wait."""
+        try:
+            request = json.loads(line)
+        except (ValueError, RecursionError):
+            return False
+        if not isinstance(request, dict) or request.get("op") != "union":
+            return False
+        view = request.get("view")
+        return (
+            isinstance(view, str)
+            and request.get("cache", True) is True
+            and self.admission.inflight() < self.admission.max_inflight
+            and self.mediator.union_cached(view)
+        )
 
     def _handle_line(self, line: bytes) -> tuple[dict, bool]:
         """One request line to one response dict (+ shutdown flag)."""
@@ -334,6 +617,14 @@ class MediatorServer:
         except ReproError as error:
             self.stats.bump("errors")
             return protocol.error_response(error, request_id), False
+        except Exception as error:
+            # A bug below the protocol must not kill the handler
+            # thread (the client would see EOF, and no counter would
+            # move): log it, answer with the generic library code.
+            _log.exception("unhandled error serving a request")
+            self.stats.bump("errors")
+            failure = ReproError(f"{type(error).__name__}: {error}")
+            return protocol.error_response(failure, request_id), False
 
     def _dispatch(self, request: dict) -> tuple[dict, bool]:
         op = request["op"]
@@ -374,6 +665,13 @@ class MediatorServer:
         )
 
     def _op_union(self, request: dict) -> dict:
+        """Materialize a union view and return its answer text.
+
+        The server-side latency (the ``latency`` histogram and the
+        response's ``elapsed``) runs from admission through having the
+        answer text in hand, serialization included; only the protocol
+        encode and the socket write fall outside it.
+        """
         view = request.get("view")
         if not isinstance(view, str):
             raise protocol.ProtocolError(
@@ -413,11 +711,16 @@ class MediatorServer:
             )
         finally:
             self.admission.release()
+        # A cache hit (or a delta over a rendered entry) carries its
+        # text already; anything else is serialized here.
+        text = answer.text
+        if text is None:
+            text = serialize_document(answer)
         elapsed = self.mediator.clock.now() - started
         self.latency.observe(elapsed)
         response = {
             "ok": True,
-            "answer": serialize_document(answer),
+            "answer": text,
             "degraded": answer.degraded,
             "elapsed": round(elapsed, 6),
             "cache": answer.cache,

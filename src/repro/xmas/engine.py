@@ -699,12 +699,17 @@ class Answer(Document):
     :class:`~repro.mediator.transport.DegradationReport`, ``None`` for a
     plain engine answer); ``cache`` the materialized-view cache's
     verdict: ``"off"`` (no cache configured), ``"disabled"``,
-    ``"bypass"``, ``"hit"``, ``"delta"`` or ``"miss"``.
+    ``"bypass"``, ``"hit"``, ``"delta"`` or ``"miss"``; ``text`` the
+    answer's default serialization (``serialize_document(answer)``:
+    indent 2, no IDs) when the cache already rendered it, else
+    ``None``.  ``text`` is a snapshot taken when the answer was
+    served: editing the tree afterwards does not update it.
     """
 
     provenance: tuple[PickOrigin, ...] | None = None
     report: DegradationReport | None = None
     cache: str = "off"
+    text: str | None = None
 
     @property
     def degraded(self) -> bool:

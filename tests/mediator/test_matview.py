@@ -26,11 +26,17 @@ from repro.mediator import (
     Mediator,
     Source,
 )
+from repro.mediator import matview
 from repro.mediator.matview import estimate_bytes
 from repro.regex import kernel
 from repro.regex.language import clear_caches
-from repro.workloads.flaky import build_flaky_federation, standard_fault_plans
-from repro.xmas import parse_query
+from repro.workloads.flaky import (
+    branch_query,
+    build_flaky_federation,
+    site_schema,
+    standard_fault_plans,
+)
+from repro.xmas import evaluate_many, parse_query
 from repro.xmlmodel import elem, serialize_document, text_elem
 
 VIEW = "journals"
@@ -619,3 +625,171 @@ class TestDifferentialSoundness:
             target.children[0].set_text(f"edit-{pick}")
         else:  # remove
             parent_of(document, target).remove_child(target)
+
+
+class TestServedText:
+    """Served text: rendered once per entry version, spliced by deltas."""
+
+    @pytest.fixture
+    def renders(self, monkeypatch):
+        """Counts the picks the cache renders (by element identity)."""
+        rendered = []
+        real = matview._render_pick
+
+        def counting(pick):
+            rendered.append(pick)
+            return real(pick)
+
+        monkeypatch.setattr(matview, "_render_pick", counting)
+        return rendered
+
+    def test_hits_render_each_pick_once(self, renders):
+        mediator = federation()
+        miss = mediator.materialize_union(VIEW)
+        assert miss.text is None
+        assert renders == []  # a miss never renders
+        hits = [mediator.materialize_union(VIEW) for _ in range(5)]
+        picks = miss.root.children
+        assert len(renders) == len(picks)
+        assert all(a is b for a, b in zip(renders, picks))
+        for hit in hits:
+            assert hit.cache == "hit"
+            assert hit.text == serialize_document(miss)
+
+    def test_delta_renders_only_the_spliced_picks(self, renders):
+        mediator = federation()
+        mediator.materialize_union(VIEW)
+        mediator.materialize_union(VIEW)  # renders the entry
+        before = len(renders)
+        document, publication = find_journal_pick(mediator)
+        source = next(
+            name
+            for name, src in mediator.sources.items()
+            if any(doc is document for doc in src.documents)
+        )
+        publication.children[0].set_text("retitled")
+        delta = mediator.materialize_union(VIEW)
+        assert delta.cache == "delta"
+        fresh = evaluate_many(branch_query(source), [document]).root.children
+        spliced = renders[before:]
+        assert len(spliced) == len(fresh)
+        # exactly the maintained answer's picks from the dirty document
+        assert all(
+            any(pick is child for child in delta.root.children)
+            for pick in spliced
+        )
+        assert all(
+            pick.structurally_equal(f) for pick, f in zip(spliced, fresh)
+        )
+        assert delta.text == serialize_document(delta)
+        assert "retitled" in delta.text
+        hit = mediator.materialize_union(VIEW)
+        assert hit.cache == "hit"
+        assert hit.text is delta.text  # the delta and its hits share it
+        assert len(renders) - before == len(fresh)
+
+    def test_delta_over_unrendered_entry_renders_nothing(self, renders):
+        mediator = federation()
+        mediator.materialize_union(VIEW)
+        document, publication = find_journal_pick(mediator)
+        publication.children[0].set_text("retitled")
+        delta = mediator.materialize_union(VIEW)
+        assert delta.cache == "delta"
+        assert delta.text is None
+        assert renders == []
+
+    def test_caller_edit_drops_the_text(self):
+        mediator = federation()
+        mediator.materialize_union(VIEW)
+        served = mediator.materialize_union(VIEW)
+        assert served.text is not None
+        served.root.children[0].children[0].set_text("vandalised")
+        healed = mediator.materialize_union(VIEW)
+        assert healed.cache == "miss"
+        assert healed.text is None
+        again = mediator.materialize_union(VIEW)
+        assert "vandalised" not in again.text
+        assert again.text == serialize_document(again)
+
+    def test_text_is_not_charged_to_the_byte_budget(self):
+        mediator = federation()
+        mediator.materialize_union(VIEW)
+        stored = mediator.matview.info()["bytes"]
+        mediator.materialize_union(VIEW)
+        assert mediator.matview.info()["bytes"] == stored
+
+    @settings(
+        max_examples=40,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(
+        ops=st.lists(
+            st.tuples(
+                st.sampled_from(
+                    [
+                        "hit",
+                        "edit-pick",
+                        "edit-outside",
+                        "caller-edit",
+                        "add-doc",
+                        "remove-doc",
+                    ]
+                ),
+                st.integers(min_value=0, max_value=10_000),
+            ),
+            min_size=1,
+            max_size=8,
+        ),
+        seed=st.integers(min_value=0, max_value=5),
+    )
+    def test_text_always_matches_the_answer(self, ops, seed):
+        import random
+
+        from repro.dtd import generate_document
+
+        clear_caches()
+        mediator = federation(seed=seed)
+        answer = mediator.materialize_union(VIEW)
+        for op, pick in ops:
+            documents = [
+                document
+                for name in sorted(mediator.sources)
+                for document in mediator.sources[name].documents
+            ]
+            document = documents[pick % len(documents)]
+            if op == "edit-pick":
+                picks = [
+                    el
+                    for el in document.root.iter()
+                    if el.name == "publication"
+                    and any(c.name == "journal" for c in el.children)
+                ]
+                if picks:
+                    picks[pick % len(picks)].children[0].set_text(
+                        f"edit-{pick}"
+                    )
+            elif op == "edit-outside":
+                document.root.children[0].set_text(f"site-{pick}")
+            elif op == "caller-edit":
+                if answer.root.children:
+                    answer.root.children[
+                        pick % len(answer.root.children)
+                    ].children[0].set_text(f"caller-{pick}")
+            elif op == "add-doc":
+                name = sorted(mediator.sources)[pick % len(mediator.sources)]
+                mediator.sources[name].documents.append(
+                    generate_document(
+                        site_schema(), random.Random(pick), star_mean=2.0
+                    )
+                )
+            elif op == "remove-doc":
+                name = sorted(mediator.sources)[pick % len(mediator.sources)]
+                if mediator.sources[name].documents:
+                    mediator.sources[name].documents.pop()
+            answer = mediator.materialize_union(VIEW)
+            if answer.text is not None:
+                assert answer.text == serialize_document(answer)
+        repeat = mediator.materialize_union(VIEW)
+        assert repeat.cache == "hit"
+        assert repeat.text == serialize_document(repeat)

@@ -367,3 +367,329 @@ class TestBenchDriver:
         assert result["rejected"] == {}
         assert result["qps"] > 0
         assert result["latency"]["p50"] <= result["latency"]["max"]
+
+
+class TestRobustServing:
+    def test_deep_chain_answer_is_served(self):
+        # Nested far past the interpreter's recursion limit: the
+        # answer must evaluate, validate, serialize and travel.
+        from repro.dtd import dtd
+        from repro.mediator import MatViewPolicy, Mediator, Source
+        from repro.xmas import parse_query
+        from repro.xmlmodel import parse_document
+        from tests.xmlmodel.test_serializer import section_chain
+
+        document = section_chain(1200)
+        schema = dtd(
+            {"doc": "section", "section": "title, section?", "title": "#PCDATA"},
+            root="doc",
+        )
+        mediator = Mediator("deep", cache=MatViewPolicy())
+        mediator.add_source(Source("deep", schema, [document]))
+        mediator.register_union_view(
+            [
+                parse_query(
+                    "chain = SELECT S WHERE <doc> S:<section/> </doc>",
+                    source="deep",
+                )
+            ],
+            "chain",
+        )
+        with MediatorServer(mediator) as server:
+            with ServeClient(*server.address) as client:
+                miss = client.union("chain")
+                hit = client.union("chain")
+        assert miss["ok"] and miss["cache"] == "miss"
+        assert hit["ok"] and hit["cache"] == "hit"
+        assert hit["answer"] == miss["answer"]
+        (section,) = parse_document(miss["answer"]).root.children
+        assert section.structurally_equal(document.root.children[0])
+
+    def test_non_library_exception_gets_a_coded_reply(self, monkeypatch):
+        import json
+        import socket as socket_module
+
+        with paper_server() as server:
+            real = server.mediator.materialize_union
+            failed = []
+
+            def broken_once(*args, **kwargs):
+                if not failed:
+                    failed.append(True)
+                    raise RuntimeError("boom")
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(
+                server.mediator, "materialize_union", broken_once
+            )
+            raw = socket_module.create_connection(server.address, timeout=5)
+            try:
+                reader = raw.makefile("rb")
+                raw.sendall(b'{"op": "union", "view": "journals", "id": 1}\n')
+                error = json.loads(reader.readline())
+                assert error["ok"] is False
+                assert error["id"] == 1
+                assert error["error"]["code"] == "REPRO001"
+                assert "RuntimeError: boom" in error["error"]["message"]
+                # The same connection keeps serving.
+                raw.sendall(b'{"op": "stats", "id": 2}\n')
+                stats = json.loads(reader.readline())
+                assert stats["ok"] is True
+                assert stats["stats"]["errors"] == 1
+                assert stats["stats"]["inflight"] == 0
+                raw.sendall(b'{"op": "union", "view": "journals", "id": 3}\n')
+                answer = json.loads(reader.readline())
+                assert answer["ok"] is True
+            finally:
+                raw.close()
+
+    def test_server_latency_covers_serialization(self, monkeypatch):
+        from repro.serve import server as server_module
+
+        real = server_module.serialize_document
+
+        def slow(document):
+            time.sleep(0.05)
+            return real(document)
+
+        monkeypatch.setattr(server_module, "serialize_document", slow)
+        with paper_server() as server:
+            with ServeClient(*server.address) as client:
+                response = client.union(VIEW)
+                stats = client.stats()
+        assert response["elapsed"] >= 0.05
+        assert stats["latency"]["max"] >= 0.05
+
+
+class TestServingLoop:
+    """One loop thread reads every connection and answers cache hits
+    itself; everything else goes to the connection's handler thread."""
+
+    def cached_server(self):
+        from repro.mediator import MatViewPolicy
+
+        mediator = build_paper_federation(cache=MatViewPolicy())
+        return MediatorServer(mediator, ServePolicy())
+
+    @staticmethod
+    def record_threads(server, monkeypatch):
+        """(op, thread name) of every request line the server answers."""
+        import json
+
+        seen = []
+        real = server._handle_line
+
+        def recording(line):
+            op = json.loads(line).get("op")
+            seen.append((op, threading.current_thread().name))
+            return real(line)
+
+        monkeypatch.setattr(server, "_handle_line", recording)
+        return seen
+
+    def test_hits_are_answered_on_the_loop(self, monkeypatch):
+        with self.cached_server() as server:
+            seen = self.record_threads(server, monkeypatch)
+            with ServeClient(*server.address) as client:
+                miss = client.union(VIEW)
+                hits = [client.union(VIEW) for _ in range(3)]
+                client.ping()
+        assert miss["cache"] == "miss"
+        assert all(hit["cache"] == "hit" for hit in hits)
+        assert all(hit["answer"] == miss["answer"] for hit in hits)
+        assert seen == [
+            ("union", "repro-serve-conn"),
+            ("union", "repro-serve-loop"),
+            ("union", "repro-serve-loop"),
+            ("union", "repro-serve-loop"),
+            ("ping", "repro-serve-conn"),
+        ]
+
+    def test_uncached_server_answers_on_handler_threads(self, monkeypatch):
+        with paper_server() as server:
+            seen = self.record_threads(server, monkeypatch)
+            with ServeClient(*server.address) as client:
+                client.union(VIEW)
+                client.union(VIEW)
+        assert {name for _, name in seen} == {"repro-serve-conn"}
+
+    def test_pipelined_requests_keep_their_order(self, monkeypatch):
+        import json
+        import socket as socket_module
+
+        lines = [
+            {"op": "ping", "id": 1},  # slow, on the handler thread
+            {"op": "union", "view": VIEW, "id": 2},  # a hit, queued
+            {"op": "union", "view": VIEW, "cache": False, "id": 3},
+            {"op": "nope", "id": 4},
+            {"op": "union", "view": VIEW, "id": 5},
+        ]
+        payload = b"".join(json.dumps(m).encode() + b"\n" for m in lines)
+        with self.cached_server() as server:
+            real = server._dispatch
+
+            def slow_ping(request):
+                if request["op"] == "ping":
+                    time.sleep(0.2)
+                return real(request)
+
+            monkeypatch.setattr(server, "_dispatch", slow_ping)
+            raw = socket_module.create_connection(server.address, timeout=5)
+            try:
+                reader = raw.makefile("rb")
+                raw.sendall(b'{"op": "union", "view": "journals"}\n')
+                warm = json.loads(reader.readline())
+                raw.sendall(payload)
+                replies = [json.loads(reader.readline()) for _ in lines]
+            finally:
+                raw.close()
+        assert warm["cache"] == "miss"
+        assert [reply["id"] for reply in replies] == [1, 2, 3, 4, 5]
+        assert [replies[i].get("cache") for i in (1, 2, 4)] == [
+            "hit", "bypass", "hit"
+        ]
+        assert replies[3]["ok"] is False
+        assert replies[4]["answer"] == warm["answer"]
+
+    def test_a_hit_never_overtakes_a_reply_being_written(self):
+        import json
+        import socket as socket_module
+        from repro.mediator import MatViewPolicy
+
+        class SlowWrites:
+            """A connection whose handler-thread writes take 0.3 s."""
+
+            def __init__(self, connection):
+                self._connection = connection
+
+            def __getattr__(self, name):
+                return getattr(self._connection, name)
+
+            def sendall(self, data):
+                if threading.current_thread().name == "repro-serve-conn":
+                    time.sleep(0.3)
+                self._connection.sendall(data)
+
+        class SlowServer(MediatorServer):
+            def _handle_connection(self, connection):
+                super()._handle_connection(SlowWrites(connection))
+
+        mediator = build_paper_federation(cache=MatViewPolicy())
+        with SlowServer(mediator, ServePolicy()) as server:
+            raw = socket_module.create_connection(server.address, timeout=5)
+            try:
+                reader = raw.makefile("rb")
+                raw.sendall(b'{"op": "union", "view": "journals"}\n')
+                assert json.loads(reader.readline())["cache"] == "miss"
+                raw.sendall(b'{"op": "ping", "id": 1}\n')
+                time.sleep(0.1)  # the handler is now writing the pong
+                raw.sendall(b'{"op": "union", "view": "journals", "id": 2}\n')
+                replies = [json.loads(reader.readline()) for _ in range(2)]
+            finally:
+                raw.close()
+        assert [reply["id"] for reply in replies] == [1, 2]
+        assert replies[1]["cache"] == "hit"
+
+    def test_pipelined_connections_under_stress(self):
+        # More connections than cores, each pipelining a mix of loop
+        # and handler requests, with frequent thread switches: every
+        # reply must come back, in its connection's request order.
+        import json
+        import random
+        import socket as socket_module
+        import sys
+
+        kinds = [
+            {"op": "union", "view": VIEW},
+            {"op": "union", "view": VIEW, "cache": False},
+            {"op": "ping"},
+        ]
+        errors = []
+
+        def client(address, seed):
+            rng = random.Random(seed)
+            lines = [dict(rng.choice(kinds), id=i) for i in range(40)]
+            raw = socket_module.create_connection(address, timeout=10)
+            try:
+                reader = raw.makefile("rb")
+                for start in range(0, len(lines), 8):
+                    raw.sendall(b"".join(
+                        json.dumps(m).encode() + b"\n"
+                        for m in lines[start:start + 8]
+                    ))
+                replies = [json.loads(reader.readline()) for _ in lines]
+            except Exception as error:  # reported by the main thread
+                errors.append(repr(error))
+                return
+            finally:
+                raw.close()
+            if [reply.get("id") for reply in replies] != list(range(40)):
+                errors.append(f"client {seed}: replies out of order")
+            elif not all(reply["ok"] for reply in replies):
+                errors.append(f"client {seed}: a request failed")
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with self.cached_server() as server:
+                with ServeClient(*server.address) as warm:
+                    warm.union(VIEW)
+                workers = [
+                    threading.Thread(target=client, args=(server.address, n))
+                    for n in range(6)
+                ]
+                for worker in workers:
+                    worker.start()
+                for worker in workers:
+                    worker.join(timeout=30)
+                assert not any(worker.is_alive() for worker in workers)
+                stats = server.stats.snapshot()
+        finally:
+            sys.setswitchinterval(interval)
+        assert errors == []
+        assert stats["served"] == 1 + 6 * 40
+        assert stats["errors"] == 0
+
+    def test_unread_replies_wait_on_the_handler(self, monkeypatch):
+        # When earlier replies still sit unread in the socket, the loop
+        # does not write the next one itself (it could block there);
+        # the connection's handler thread writes it.
+        from repro.serve import server as server_module
+
+        monkeypatch.setattr(server_module, "_unsent_bytes", lambda c: 1)
+        with self.cached_server() as server:
+            with ServeClient(*server.address) as client:
+                miss = client.union(VIEW)
+                hits = [client.union(VIEW) for _ in range(3)]
+                assert client.stats()["matview"]["hits"] == 3
+        assert all(hit["answer"] == miss["answer"] for hit in hits)
+
+    def test_final_line_without_newline_is_answered(self):
+        import json
+        import socket as socket_module
+
+        with paper_server() as server:
+            raw = socket_module.create_connection(server.address, timeout=5)
+            try:
+                raw.sendall(b'{"op": "ping", "id": 9}')
+                raw.shutdown(socket_module.SHUT_WR)
+                reply = json.loads(raw.makefile("rb").readline())
+            finally:
+                raw.close()
+        assert reply == {"ok": True, "pong": True, "id": 9}
+
+    def test_stop_does_not_wait_for_idle_connections(self):
+        import socket as socket_module
+
+        server = paper_server().start()
+        idle = socket_module.create_connection(server.address, timeout=5)
+        try:
+            with ServeClient(*server.address) as client:
+                client.ping()
+                started = time.perf_counter()
+                server.stop()
+                assert time.perf_counter() - started < 2.0
+            # The server closed the idle connection.
+            assert idle.recv(1) == b""
+        finally:
+            idle.close()

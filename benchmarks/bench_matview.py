@@ -16,6 +16,11 @@ The PR 8 performance claim has four parts, each pinned here:
 4. **Serve throughput** (recorded).  The socket front end over a warm
    shared cache versus the same federation uncached — the qps
    improvement the serving path inherits from PR 7's ~1000 qps.
+5. **Probe cost flat in corpus size** (gate).  After one edit outside
+   every pick (a different title each round), the probe (one dirty
+   document re-evaluated and spliced) over 256 documents must cost at
+   most 2× the probe over 16: the mutation journal names the edited
+   element, so no per-read step scans the corpus.
 
 ``extra_info`` carries every measured ratio so ``BENCH_PR8.json``
 records the claims machine-readably (docs/PERFORMANCE.md).
@@ -152,6 +157,88 @@ class TestDeltaMaintenance:
         assert speedup >= 3, (
             f"delta maintenance is only {speedup:.2f}x the full "
             "recompute (gate: 3x)"
+        )
+
+
+class TestProbeScaling:
+    #: documents per source that both rungs share (and edit)
+    SHARED = 4
+
+    @staticmethod
+    def edit_and_probe(n_docs: int):
+        """(edit+probe call, corpus elements) over ``n_docs`` documents.
+
+        Each site's corpus is generated in sequence from a fixed seed,
+        so the first ``SHARED`` documents of every source are the same
+        in both rungs.  The calls edit only those, in the same order:
+        the two rungs re-evaluate and splice the same documents, and
+        differ only in how many other documents the probe must rule out.
+        """
+        mediator = build_bibdb(MatViewPolicy(), n_docs=n_docs // 4)
+        mediator.materialize_union(VIEW)
+        mediator.materialize_union(VIEW)  # renders the entry's text
+        # Titles of articles without a DOI: outside every pick of the
+        # view.  Consecutive rounds edit different titles in different
+        # documents, so the probe keeps meeting elements it has not
+        # looked up before.
+        per_document = [
+            [
+                child
+                for element in document.root.iter()
+                if element.name == "article"
+                and not any(kid.name == "doi" for kid in element.children)
+                for child in element.children
+                if child.name == "title"
+            ]
+            for source in mediator.sources.values()
+            for document in source.documents[: TestProbeScaling.SHARED]
+        ]
+        targets = [
+            titles[k]
+            for k in range(max(map(len, per_document)))
+            for titles in per_document
+            if k < len(titles)
+        ]
+        tick = [0]
+
+        def call():
+            tick[0] += 1
+            target = targets[tick[0] % len(targets)]
+            target.set_text(f"v{tick[0]}")
+            answer = mediator.materialize_union(VIEW)
+            assert answer.cache == "delta"
+            return answer
+
+        elements = sum(
+            document.size()
+            for source in mediator.sources.values()
+            for document in source.documents
+        )
+        return call, elements
+
+    def test_probe_cost_flat_in_corpus_size(self, benchmark):
+        """Gate: the 256-document probe costs <= 2x the 16-document one."""
+        clear_caches()
+        small, small_elements = self.edit_and_probe(16)
+        large, large_elements = self.edit_and_probe(256)
+        # Interleaved rounds with the collector paused: host noise hits
+        # both rungs alike, and the larger heap's dearer collections are
+        # not charged as probe work.
+        small_s, large_s, overhead = overhead_ratio(
+            small, large, repeat=5, rounds=20, accept_below=1.0
+        )
+        answer = benchmark(large)
+        assert answer.root.name == VIEW
+        ratio = overhead + 1.0
+        benchmark.extra_info["probe_16_docs_us"] = round(small_s * 1e6, 2)
+        benchmark.extra_info["probe_256_docs_us"] = round(large_s * 1e6, 2)
+        benchmark.extra_info["probe_cost_ratio"] = round(ratio, 2)
+        benchmark.extra_info["corpus_size_ratio"] = round(
+            large_elements / small_elements, 2
+        )
+        assert ratio <= 2, (
+            f"the probe over 256 documents costs {ratio:.2f}x the probe "
+            "over 16 (gate: 2x)"
         )
 
 

@@ -174,14 +174,33 @@ def smoke_serve() -> None:
                 "serve: hit after the delta equals a cold recompute",
                 after["answer"] == oracle["answer"],
             )
+            # Edit two documents between reads: one delta splices both.
+            for name in ("dept0", "dept1"):
+                document = mediator.sources[name].documents[0]
+                title = next(
+                    el for el in document.root.iter() if el.name == "title"
+                )
+                title.set_text(f"{name} revised")
+            multi = client.union("journals")
+            check(
+                "serve: two edited documents serve a delta",
+                multi["cache"] == "delta",
+            )
+            oracle = client.union("journals", cache=False)
+            check(
+                "serve: two-document delta equals a cold recompute",
+                multi["answer"] == oracle["answer"],
+            )
             stats = client.stats()
             matview = stats.get("matview", {})
             check("serve: stats count hits", matview.get("hits", 0) >= 3)
-            check("serve: stats count the delta", matview.get("deltas", 0) == 1)
+            check(
+                "serve: stats count the deltas", matview.get("deltas", 0) == 2
+            )
             check(
                 "serve: stats count the bypasses",
-                stats.get("cache_bypassed") == 2
-                and matview.get("bypasses", 0) == 2,
+                stats.get("cache_bypassed") == 3
+                and matview.get("bypasses", 0) == 3,
             )
             check(
                 "serve: no recompute after the delta",

@@ -5,8 +5,9 @@ or ``query_view`` call fans out to the sources and re-evaluates, even
 when nothing changed.  Two earlier pieces make materialization sound:
 
 * the inferred view DTD says what a valid answer looks like, and
-* the global mutation clock (:mod:`repro.xmlmodel.element`) stamps
-  every document edit, so "nothing changed" is an O(1) question.
+* the global mutation clock and journal (:mod:`repro.xmlmodel.element`)
+  record every document edit, so "nothing changed" is an O(1) question
+  and "what changed" costs the number of edits, not the corpus size.
 
 A :class:`MatViewCache` keeps validated answers keyed by (kind, view
 name, compiled-plan signature) and revalidates hits with exactly the
@@ -15,17 +16,29 @@ fast-path/re-arm discipline of
 
 1. **O(1) fast path** -- the global clock has not moved since the
    entry was last validated: serve the answer.
-2. **Re-arm scan** -- the clock moved, but a scan shows none of the
-   entry's contributing documents did: re-stamp the entry and serve.
-3. **Delta maintenance** -- exactly one contributing document mutated
-   and the entry knows which slice of the answer that document
-   produced (the engine's :class:`~repro.xmas.engine.PickOrigin`
-   provenance): re-run pick-projection over that one document, splice
-   the fresh picks into the materialized answer, re-validate the
-   spliced answer against the inferred view DTD, re-stamp.  Validation
-   failure (``MED007``) falls back to a full recompute.
-4. **Invalidate** -- anything else (several dirty documents, changed
-   document lists, no provenance): drop the entry and recompute.
+2. **Re-arm** -- the clock moved, but none of the objects the journal
+   names since the entry's stamp (``mutated_since``) is the served
+   master's, a contributing document, or an element of a contributing
+   document's index (one identity probe per edit and contributing
+   document, :meth:`DocumentIndex.position_of`): re-stamp the entry
+   and serve.
+3. **Delta maintenance** -- some contributing documents are dirty, and
+   each one's leg has a ``delta_query`` and the entry knows which slice
+   of the answer each document produced (the engine's
+   :class:`~repro.xmas.engine.PickOrigin` provenance): re-run
+   pick-projection over each dirty document alone, splice all their
+   fresh picks into one new root, re-validate the fresh subtrees
+   (and the root's child word, when the splice changed it) against
+   the inferred view DTD once, re-stamp.  When several fragments
+   change, only they and the root's child word need re-checking
+   (Abiteboul, Gottlob and Manna, *Distributed XML Design*).
+   Validation failure (``MED007``) falls back to a full recompute.
+4. **Invalidate** -- anything else: changed document lists
+   (``docs-changed``), a caller edit of the served master
+   (``answer-mutated``), a dirty document whose leg has no
+   ``delta_query`` or no provenance (``stale``), or more edits since
+   the entry's stamp than the journal remembers
+   (``journal-overflow``): drop the entry and recompute.
 
 Served answers are **shared snapshots**: every hit returns the same
 record over the cached master's root (an
@@ -33,9 +46,9 @@ record over the cached master's root (an
 entry version) rather than a per-hit deep copy (the copy would cost
 more than the recompute it saves on small answers, and dominates the
 hit path on large ones).  This is sound under the model's own
-mutation contract -- edits MUST go through the stamped ``Element``
-APIs -- because an edit to a served answer bumps the global clock, and
-the next probe's re-arm scan covers the master's elements too: a
+mutation contract -- edits MUST go through the journalled ``Element``
+APIs -- because an edit to a served answer is journalled, and the next
+probe looks every journalled element up in the master's element set: a
 poisoned master is invalidated, never served.  Delta maintenance never
 edits a served master in place either; it builds a *new* root sharing
 the untouched pick subtrees, so answers held from earlier hits stay
@@ -75,7 +88,7 @@ from ..regex import kernel
 from ..xmas import Query, evaluate_many
 from ..xmas.engine import Answer, CompiledPlan, PickOrigin, compile_query
 from ..xmlmodel import Document, Element, fresh_id
-from ..xmlmodel.element import mutation_stamp
+from ..xmlmodel.element import mutated_since, mutation_stamp
 from ..xmlmodel.index import DocumentIndex, document_index
 from ..xmlmodel.serializer import join_document, serialize_element
 
@@ -168,10 +181,11 @@ class _DocState:
     ``start:stop`` is the half-open range of top-level answer children
     this document produced (``-1`` when unknown -- entry is then
     recompute-only); ``index`` is the document's
-    :class:`DocumentIndex` at entry-build time, kept so staleness can
-    be decided with the same completeness argument as
-    ``_index_is_fresh``: new elements necessarily hang off a mutated
-    indexed parent.
+    :class:`DocumentIndex` as of the entry's last build or splice, kept
+    so staleness is decided with the same completeness argument as
+    :func:`~repro.xmlmodel.index.document_index`: new elements
+    necessarily hang off an edited indexed parent.  A store-backed
+    index answers from its on-disk generation counter instead.
     """
 
     __slots__ = ("leg", "document", "index", "start", "stop")
@@ -190,13 +204,6 @@ class _DocState:
         self.start = start
         self.stop = stop
 
-    def fresh_at(self, stamp: int) -> bool:
-        if self.document.mutation_version > stamp:
-            return False
-        # Delegated so store-backed indexes can answer from their
-        # on-disk generation counter instead of scanning Element rows.
-        return self.index.fresh_at(stamp)
-
 
 class _Entry:
     __slots__ = (
@@ -205,15 +212,15 @@ class _Entry:
         "dtd",
         "answer",
         "served",
-        "pick_elems",
+        "elements",
         "fragments",
         "text",
         "bytes",
-        "built_stamp",
         "stamp",
         "legs",
         "leg_docs",
         "docs",
+        "stored_docs",
         "spliceable",
     )
 
@@ -226,7 +233,7 @@ class _Entry:
         legs: tuple[CacheLeg, ...],
         leg_docs: tuple[tuple[Document, ...], ...],
         docs: list[_DocState],
-        built_stamp: int,
+        stamp: int,
         spliceable: bool,
     ) -> None:
         self.key = key
@@ -235,26 +242,28 @@ class _Entry:
         self.answer = answer
         self.served = _served(answer)
         # The master is served by reference, so a caller edit (through
-        # the stamped APIs) must be detectable: keep the element set,
-        # one tuple per top-level pick so delta maintenance can swap
-        # slices without re-walking untouched subtrees.  New elements
-        # can only appear under a mutated (hence stamped, hence
-        # caught) parent.
-        self.pick_elems = [
-            tuple(child.iter()) for child in answer.root.children
-        ]
+        # the journalled APIs) must be detectable: keep the master's
+        # elements as an identity set, so each journalled edit is one
+        # lookup.  New elements can only appear under an edited (hence
+        # journalled, hence caught) parent.
+        self.elements: set[Element] = set(answer.root.iter())
         # The served text, rendered by the first hit of this entry
         # version (a miss or a delta never renders a whole answer): one
-        # fragment per top-level pick, aligned with ``pick_elems``, so
-        # a delta re-renders only the picks it splices.
+        # fragment per top-level pick, so a delta re-renders only the
+        # picks it splices.
         self.fragments: list[str] | None = None
         self.text: str | None = None
         self.bytes = estimate_bytes(answer)
-        self.built_stamp = built_stamp
-        self.stamp = built_stamp
+        #: the mutation clock up to which the entry is known current
+        self.stamp = stamp
         self.legs = legs
         self.leg_docs = leg_docs
         self.docs = docs
+        self.stored_docs = [
+            state
+            for state in docs
+            if not isinstance(state.index, DocumentIndex)
+        ]
         self.spliceable = spliceable
 
     def render(self) -> None:
@@ -270,18 +279,35 @@ class _Entry:
         self.text = join_document(self.answer.root, self.fragments)
         self.served = _served(self.answer, self.text)
 
-    def answer_intact(self) -> bool:
-        stamp = self.built_stamp
-        if (
-            self.served.root is not self.answer.root
-            or self.answer.root.mutation_version > stamp
-        ):
-            return False
-        for elems in self.pick_elems:
-            for el in elems:
-                if el.mutation_version > stamp:
-                    return False
-        return True
+    def answer_intact(self, edited: set[object]) -> bool:
+        """Whether no element of the master is among ``edited``."""
+        return (
+            self.served.root is self.answer.root
+            and self.elements.isdisjoint(edited)
+        )
+
+    def dirty_docs(self, edited: set[object], stamp: int) -> list[_DocState]:
+        """The contributing documents touched since ``stamp``, in
+        answer order; ``edited`` is the journal since ``stamp``."""
+        dirty = {
+            state
+            for state in self.stored_docs
+            if not state.index.fresh_at(stamp)
+        }
+        for obj in edited:
+            if isinstance(obj, Element):
+                dirty.update(
+                    state
+                    for state in self.docs
+                    if state.index.position_of(obj) is not None
+                )
+            else:  # a document-level edit (``replace_root``)
+                dirty.update(
+                    state for state in self.docs if state.document is obj
+                )
+        if not dirty:
+            return []
+        return [state for state in self.docs if state in dirty]
 
     def provenance(self) -> list[tuple[str, int, tuple[int, int]]]:
         """Per contributing document: (source, picks, answer slice)."""
@@ -450,36 +476,41 @@ class MatViewCache:
 
     def _classify(
         self, entry: _Entry
-    ) -> tuple[str, _DocState | None]:
-        """``(verdict, dirty_doc)`` for a held entry, without mutating it.
+    ) -> tuple[str, list[_DocState], int]:
+        """``(verdict, dirty docs, stamp)`` for a held entry, without
+        mutating it; ``stamp`` is the clock the verdict holds up to.
 
         Verdicts: ``fast-hit`` (clock unmoved), ``rearm-hit`` (moved,
-        entry untouched), ``delta`` (one dirty spliceable document),
+        entry untouched), ``delta`` (every dirty document spliceable),
         ``docs-changed``, ``answer-mutated`` (a caller edited the
-        served master), ``stale``.
+        served master), ``journal-overflow`` (too many edits since the
+        entry's stamp to know which), ``stale`` (a dirty document whose
+        leg cannot be spliced).
         """
         if not self._docs_unchanged(entry):
-            return "docs-changed", None
+            return "docs-changed", [], 0
         stamp = mutation_stamp()
         if stamp == entry.stamp:
-            return "fast-hit", None
-        if not entry.answer_intact():
-            return "answer-mutated", None
-        dirty = [
-            state
-            for state in entry.docs
-            if not state.fresh_at(entry.built_stamp)
-        ]
+            return "fast-hit", [], stamp
+        changed = mutated_since(entry.stamp)
+        if changed is None:
+            return "journal-overflow", [], stamp
+        edited = set(changed)
+        if not entry.answer_intact(edited):
+            return "answer-mutated", [], stamp
+        dirty = entry.dirty_docs(edited, entry.stamp)
         if not dirty:
-            return "rearm-hit", None
+            return "rearm-hit", [], stamp
         if (
             self.policy.delta
             and entry.spliceable
-            and len(dirty) == 1
-            and entry.legs[dirty[0].leg].delta_query is not None
+            and all(
+                entry.legs[state.leg].delta_query is not None
+                for state in dirty
+            )
         ):
-            return "delta", dirty[0]
-        return "stale", None
+            return "delta", dirty, stamp
+        return "stale", [], stamp
 
     def peek(self, key: tuple, legs: Sequence[CacheLeg]) -> str:
         """Non-mutating classification for ``explain()`` and
@@ -493,7 +524,7 @@ class MatViewCache:
             entry = self._entries.get(key)
             if entry is None:
                 return "cold"
-            verdict, _ = self._classify(entry)
+            verdict, _, _ = self._classify(entry)
         if verdict in ("fast-hit", "rearm-hit"):
             return "hit"
         if verdict == "delta":
@@ -524,8 +555,7 @@ class MatViewCache:
                 return self._miss(
                     key, view_name, dtd, legs, "cold"
                 )
-            stamp = mutation_stamp()
-            verdict, dirty = self._classify(entry)
+            verdict, dirty, stamp = self._classify(entry)
             if verdict in ("fast-hit", "rearm-hit"):
                 if verdict == "rearm-hit":
                     entry.stamp = stamp
@@ -541,8 +571,7 @@ class MatViewCache:
                     )
                 return CacheOutcome("hit", answer=entry.served)
             if verdict == "delta":
-                assert dirty is not None
-                maintained = self._maintain(entry, dirty)
+                maintained = self._maintain(entry, dirty, stamp)
                 if maintained is not None:
                     self.deltas += 1
                     self._entries.move_to_end(key)
@@ -553,7 +582,8 @@ class MatViewCache:
                 return self._miss(
                     key, view_name, dtd, legs, "stale-delta"
                 )
-            # docs-changed or stale: drop and recompute
+            # docs-changed, answer-mutated, journal-overflow or stale:
+            # drop and recompute
             self._drop(key)
             self.invalidations += 1
             self.misses += 1
@@ -581,15 +611,19 @@ class MatViewCache:
     # -- delta maintenance ----------------------------------------------
 
     @staticmethod
-    def _splice_validates(root, new_children, schema) -> bool:
+    def _splice_validates(
+        root, new_children, schema, word_changed: bool
+    ) -> bool:
         """Validate only what the splice could have broken.
 
         The untouched picks are shared with the previous master, which
         validated when it was built (inference soundness), so a delta
         only needs (a) the root's content model over the *new* child
-        word and (b) a deep check of the fresh subtrees.  IDs need no
-        re-check: every answer element carries a ``fresh_id``, unique
-        by construction.
+        word -- and only when the splice changed that word: fresh picks
+        with the names of the picks they replace leave it as accepted
+        as before -- and (b) a deep check of the fresh subtrees.  IDs
+        need no re-check: every answer element carries a ``fresh_id``,
+        unique by construction.
         """
         from ..dtd import Pcdata, validate_element
         from ..regex import to_dfa
@@ -599,61 +633,72 @@ class MatViewCache:
         declared = schema.type_of(root.name)
         if isinstance(declared, Pcdata):
             return False
-        word = [(child.name, 0) for child in root.children]
-        if not to_dfa(declared).accepts(word):
-            return False
+        if word_changed:
+            word = [(child.name, 0) for child in root.children]
+            if not to_dfa(declared).accepts(word):
+                return False
         return all(
             validate_element(child, schema).ok
             for child in new_children
         )
 
     def _maintain(
-        self, entry: _Entry, dirty: _DocState
+        self, entry: _Entry, dirty: list[_DocState], stamp: int
     ) -> Answer | None:
-        """Splice one dirty document's fresh picks into the answer.
+        """Splice every dirty document's fresh picks into the answer.
 
-        The master is never edited in place -- answers served from
-        earlier hits must stay stable -- so maintenance builds a *new*
-        root whose child list splices the fresh picks between the
-        untouched pick subtrees (shared by reference).  Returns the
-        new master, or ``None`` after dropping the entry when the
-        spliced answer no longer validates against the inferred view
-        DTD (``MED007``).  A rendered entry re-renders only the fresh
-        picks; the new master and the new hit record share its text.
+        Each dirty document is re-evaluated alone (its leg's
+        ``delta_query``) and its slice of the answer replaced; the
+        untouched picks in between are shared by reference.  The
+        master is never edited in place -- answers served from earlier
+        hits must stay stable -- so maintenance builds a *new* root.
+        The spliced answer is validated once, over the new root's child
+        word plus all fresh subtrees.  Returns the new master, or
+        ``None`` after dropping the entry when the spliced answer no
+        longer validates against the inferred view DTD (``MED007``).
+        A rendered entry re-renders only the fresh picks; the new
+        master and the new hit record share its text.  ``stamp`` is
+        the clock :meth:`_classify` checked up to.
         """
-        leg = entry.legs[dirty.leg]
-        assert leg.delta_query is not None
         with obs.span("matview.delta") as sp:
             sp.set_attribute("view", entry.view_name)
-            sp.set_attribute("source", leg.source_name)
-            stamp = mutation_stamp()
-            fresh = evaluate_many(leg.delta_query, [dirty.document])
-            new_children = list(fresh.root.children)
+            sources = {entry.legs[state.leg].source_name for state in dirty}
+            sp.set_attribute("source", ",".join(sorted(sources)))
+            sp.set_attribute("documents", len(dirty))
+            fresh: dict[_DocState, list[Element]] = {}
+            for state in dirty:
+                query = entry.legs[state.leg].delta_query
+                assert query is not None
+                fresh[state] = list(
+                    evaluate_many(query, [state.document]).root.children
+                )
             old = entry.answer.root.content
             assert isinstance(old, list)
-            start, stop = dirty.start, dirty.stop
-            spliced = old[:start] + new_children + old[stop:]
+            # Splice right to left, so each dirty slice's recorded
+            # offsets are still valid when it is replaced.
+            children = list(old)
+            added: list[Element] = []
+            removed: list[Element] = []
+            for state in reversed(dirty):
+                picks = fresh[state]
+                removed.extend(old[state.start : state.stop])
+                added.extend(picks)
+                children[state.start : state.stop] = picks
             maintained = Answer(
-                Element(entry.answer.root.name, spliced, fresh_id()),
+                Element(entry.answer.root.name, children, fresh_id()),
                 report=entry.answer.report,
                 cache="delta",
             )
-            shift = len(new_children) - (stop - start)
-            dirty.stop += shift
-            if shift:
-                seen_dirty = False
-                for state in entry.docs:
-                    if state is dirty:
-                        seen_dirty = True
-                        continue
-                    if seen_dirty:
-                        state.start += shift
-                        state.stop += shift
-            sp.set_attribute("spliced_elements", len(new_children))
-            sp.set_attribute("shift", shift)
+            sp.set_attribute("spliced_elements", len(added))
+            sp.set_attribute("shift", len(children) - len(old))
             if entry.dtd is not None and self.policy.validate_deltas:
+                word_changed = any(
+                    [pick.name for pick in old[state.start : state.stop]]
+                    != [pick.name for pick in fresh[state]]
+                    for state in dirty
+                )
                 if not self._splice_validates(
-                    maintained.root, new_children, entry.dtd
+                    maintained.root, added, entry.dtd, word_changed
                 ):
                     sp.add_event(
                         "stale_delta_fallback",
@@ -661,26 +706,45 @@ class MatViewCache:
                     )
                     self._drop(entry.key)
                     return None
-            dirty.index = document_index(dirty.document)
             if entry.fragments is not None:
                 # Untouched picks passed answer_intact() in _classify,
                 # so their fragments still hold: render the fresh ones.
-                entry.fragments[start:stop] = [
-                    _render_pick(pick) for pick in new_children
-                ]
+                for state in reversed(dirty):
+                    entry.fragments[state.start : state.stop] = [
+                        _render_pick(pick) for pick in fresh[state]
+                    ]
                 entry.text = join_document(maintained.root, entry.fragments)
                 maintained.text = entry.text
+            if any(
+                len(fresh[state]) != state.stop - state.start
+                for state in dirty
+            ):
+                # Some slice changed length: re-derive every offset.
+                moved = 0
+                for state in entry.docs:
+                    length = state.stop - state.start
+                    state.start += moved
+                    picks = fresh.get(state)
+                    if picks is not None:
+                        moved += len(picks) - length
+                        length = len(picks)
+                    state.stop = state.start + length
+            for state in dirty:
+                state.index = document_index(state.document)
+            elements = entry.elements
+            elements.discard(entry.answer.root)
+            for pick in removed:
+                elements.difference_update(pick.iter())
+            for pick in added:
+                elements.update(pick.iter())
+            elements.add(maintained.root)
             entry.answer = maintained
             entry.served = _served(maintained, entry.text)
-            entry.pick_elems[start:stop] = [
-                tuple(child.iter()) for child in new_children
-            ]
-            entry.built_stamp = stamp
             entry.stamp = stamp
             self._bytes -= entry.bytes
-            entry.bytes += _estimate_subtrees(
-                new_children
-            ) - _estimate_subtrees(old[start:stop])
+            entry.bytes += _estimate_subtrees(added) - _estimate_subtrees(
+                removed
+            )
             self._bytes += entry.bytes
             sp.set_attribute("bytes", entry.bytes)
         self._evict()

@@ -56,14 +56,14 @@ alongside the language kernel's caches.
 from __future__ import annotations
 
 import threading
+from collections import Counter
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterator, NamedTuple
 
 from .. import obs
 from ..regex import kernel
 from ..xmlmodel import Document, Element, fresh_id
-from ..xmlmodel import index as _index_module
-from ..xmlmodel.index import DocumentIndex, document_index
+from ..xmlmodel.index import DocumentIndex, document_index, lookup_index
 from .ast import Condition, Query
 
 if TYPE_CHECKING:
@@ -722,12 +722,16 @@ def _picked_with_origins(
     document: Document,
     ordinal: int,
     origins: list[PickOrigin] | None,
+    index_outcomes: Counter | None = None,
 ) -> list[Element]:
-    """One document's picks, appending their origins when recording."""
+    """One document's picks, appending their origins when recording
+    and counting the index cache's outcome into ``index_outcomes``."""
     kernel.EVENTS[
         "engine.projected" if plan.projectable else "engine.enumerated"
     ] += 1
-    index = document_index(document)
+    index, outcome = lookup_index(document)
+    if index_outcomes is not None:
+        index_outcomes[outcome] += 1
     positions = _PlanRun(plan, index).picked_positions()
     if origins is not None:
         origins.extend(
@@ -768,14 +772,15 @@ def evaluate_many_compiled(query: Query, documents: list[Document]) -> Answer:
     ``evaluate_many`` delegate by module-attribute lookup).
     """
     with obs.span("engine.evaluate") as sp:
-        index_hits = _index_module._index_hits
-        index_misses = _index_module._index_misses
+        index_outcomes: Counter = Counter()
         plan = compile_query(query)
         origins: list[PickOrigin] | None = [] if _prov_users > 0 else None
         picks: list[Element] = []
         for ordinal, document in enumerate(documents):
             picks.extend(
-                _picked_with_origins(plan, document, ordinal, origins)
+                _picked_with_origins(
+                    plan, document, ordinal, origins, index_outcomes
+                )
             )
         sp.set_attribute("view", query.view_name)
         sp.set_attribute(
@@ -784,12 +789,8 @@ def evaluate_many_compiled(query: Query, documents: list[Document]) -> Answer:
         )
         sp.set_attribute("docs", len(documents))
         sp.set_attribute("picks", len(picks))
-        sp.set_attribute(
-            "index_hits", _index_module._index_hits - index_hits
-        )
-        sp.set_attribute(
-            "index_misses", _index_module._index_misses - index_misses
-        )
+        sp.set_attribute("index_hits", index_outcomes["hit"])
+        sp.set_attribute("index_misses", index_outcomes["miss"])
         root = Element(
             query.view_name,
             [element.deep_copy(fresh_ids=True) for element in picks],

@@ -11,6 +11,7 @@ from .element import (
     Element,
     elem,
     fresh_id,
+    mutated_since,
     mutation_stamp,
     text_elem,
 )
@@ -25,6 +26,7 @@ __all__ = [
     "document_index",
     "elem",
     "fresh_id",
+    "mutated_since",
     "mutation_stamp",
     "parse_document",
     "parse_element",

@@ -14,6 +14,7 @@ allowed and distinct from PCDATA elements with the empty string.
 from __future__ import annotations
 
 import itertools
+import threading
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Union
 
@@ -25,12 +26,21 @@ def fresh_id() -> str:
     return f"e{next(_id_counter)}"
 
 
-# Process-wide mutation clock.  Every mutating API stamps its element
-# (and bumps this global), so caches keyed on object identity -- the
-# document index, chiefly -- can validate a hit in O(1) against the
-# global stamp and only fall back to a scan when *something* mutated
-# since they were built (see repro.xmlmodel.index.document_index).
+# Process-wide mutation clock and journal.  Every mutating API bumps
+# the clock and records the object it edited, so a cache built at stamp
+# ``s`` asks "what changed since ``s``?" (:func:`mutated_since`) and
+# looks only at those few objects instead of scanning its whole tree
+# (the document index and the materialized-view cache, chiefly).
+
+#: How many edits the journal remembers.  A reader whose stamp is older
+#: than that is told "unknown" and must treat everything as changed.
+JOURNAL_SIZE = 1024
+
 _mutations = 0
+# Ring buffer: the edit stamped ``s`` sits at ``_journal[s % JOURNAL_SIZE]``
+# as ``(s, obj)``.  It holds the last JOURNAL_SIZE edited objects alive.
+_journal: list[tuple[int, object] | None] = [None] * JOURNAL_SIZE
+_journal_lock = threading.Lock()
 
 
 def mutation_stamp() -> int:
@@ -38,10 +48,42 @@ def mutation_stamp() -> int:
     return _mutations
 
 
-def _bump_mutations() -> int:
+def _bump_mutations(obj: object) -> int:
+    """Advance the clock and journal ``obj`` under one lock, so the
+    journal's order is stamp order."""
     global _mutations
-    _mutations += 1
-    return _mutations
+    with _journal_lock:
+        _mutations += 1
+        _journal[_mutations % JOURNAL_SIZE] = (_mutations, obj)
+        return _mutations
+
+
+def _journal_since(stamp: int) -> list[tuple[int, object]] | None:
+    """The ``(stamp, object)`` records after ``stamp``, oldest first, or
+    None when the journal no longer reaches back that far."""
+    with _journal_lock:
+        now = _mutations
+        if now - stamp > JOURNAL_SIZE:
+            return None
+        return [
+            _journal[s % JOURNAL_SIZE]  # type: ignore[misc]
+            for s in range(stamp + 1, now + 1)
+        ]
+
+
+def mutated_since(stamp: int) -> list[object] | None:
+    """The elements and documents edited after ``stamp``, in edit order
+    (an object edited twice appears twice).
+
+    Returns None when more than :data:`JOURNAL_SIZE` edits happened
+    since ``stamp``: the caller cannot know what changed and must treat
+    everything as changed.  The list covers at least every edit up to
+    the :func:`mutation_stamp` read before the call.
+    """
+    records = _journal_since(stamp)
+    if records is None:
+        return None
+    return [obj for _, obj in records]
 
 
 @dataclass(eq=False)
@@ -61,24 +103,21 @@ class Element:
     id: str = field(default_factory=fresh_id)
     #: non-ID attributes (Appendix A layer; empty under the core model)
     attributes: dict[str, str] = field(default_factory=dict)
-    #: value of the global mutation clock at this element's last
-    #: mutation (0 = never mutated); maintained by the mutating APIs
-    mutation_version: int = field(default=0, init=False, repr=False)
 
     def __post_init__(self) -> None:
         if not self.name:
             raise ValueError("element name must be non-empty")
 
-    # -- mutation (version-stamped) -------------------------------------
+    # -- mutation (journalled) ------------------------------------------
     #
     # Documents served by sources are immutable in practice, which is
     # what makes index caching sound -- but nothing stops a caller from
     # editing a held tree.  Mutations MUST go through these APIs: they
-    # stamp the element so the cached document index can detect the
+    # journal the element so the cached document index can detect the
     # edit instead of silently answering against the old tree.
 
     def _touch(self) -> None:
-        self.mutation_version = _bump_mutations()
+        _bump_mutations(self)
 
     def append_child(self, child: "Element") -> None:
         """Append a child element (element content only)."""
@@ -258,14 +297,11 @@ class Document:
     """
 
     root: Element
-    #: global-mutation-clock value at the last document-level mutation
-    #: (``replace_root``); element edits stamp the elements themselves
-    mutation_version: int = field(default=0, init=False, repr=False)
 
     def replace_root(self, root: Element) -> None:
-        """Swap the root element (a document-level, version-stamped edit)."""
+        """Swap the root element (a document-level, journalled edit)."""
         self.root = root
-        self.mutation_version = _bump_mutations()
+        _bump_mutations(self)
 
     @property
     def root_type(self) -> str:

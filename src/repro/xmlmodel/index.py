@@ -27,12 +27,10 @@ from __future__ import annotations
 import threading
 import weakref
 from bisect import bisect_left
-from operator import attrgetter
+from typing import Iterable
 
 from ..regex import kernel
-from .element import Document, Element, mutation_stamp
-
-_VERSION_OF = attrgetter("mutation_version")
+from .element import Document, Element, mutated_since, mutation_stamp
 
 
 class DocumentIndex:
@@ -59,6 +57,7 @@ class DocumentIndex:
         "children",
         "by_label",
         "_label_sets",
+        "_label_positions",
         "stamp",
     )
 
@@ -94,6 +93,7 @@ class DocumentIndex:
         self.children = children
         self.by_label = by_label
         self._label_sets: dict[str, frozenset[int]] = {}
+        self._label_positions: dict[str, dict[Element, int]] = {}
 
     def __len__(self) -> int:
         return len(self.order)
@@ -118,19 +118,43 @@ class DocumentIndex:
         """The :class:`Element` at a position (here: the indexed object)."""
         return self.order[pos]
 
-    def fresh_at(self, stamp: int) -> bool:
-        """Whether no indexed element mutated after ``stamp``."""
-        return max(map(_VERSION_OF, self.order)) <= stamp
+    def touched(self, changed: Iterable[object]) -> list[int]:
+        """Positions of the indexed elements among ``changed``.
+
+        ``changed`` holds journalled objects (elements and documents,
+        repeats allowed; :func:`~repro.xmlmodel.element.mutated_since`);
+        documents and elements outside this index are skipped.  Each
+        edit is one :meth:`position_of` probe, so the cost is the
+        number of edits, not the size of the document.
+        """
+        found = []
+        for obj in set(changed):
+            if isinstance(obj, Element):
+                pos = self.position_of(obj)
+                if pos is not None:
+                    found.append(pos)
+        return found
 
     def position_of(self, element: Element) -> int | None:
-        """The preorder position of an element (identity), or None."""
-        positions = self.by_label.get(element.name)
+        """The preorder position of an element (identity), or None.
+
+        The first lookup of a label builds an identity map over that
+        label's positions and keeps it with the index (like
+        :meth:`labelled_set`), so later lookups -- of any element with
+        that label -- are one dict probe.  Only the labels something
+        looked up (in practice: the labels of edited elements) cost the
+        memory.  Unlocked on purpose: a racing build produces an equal
+        map and the dict store is atomic.
+        """
+        positions = self._label_positions.get(element.name)
         if positions is None:
-            return None
-        for pos in positions:
-            if self.order[pos] is element:
-                return pos
-        return None
+            order = self.order
+            positions = {
+                order[pos]: pos
+                for pos in self.by_label.get(element.name, ())
+            }
+            self._label_positions[element.name] = positions
+        return positions.get(element)
 
     def labelled(self, name: str) -> list[int]:
         """Positions of all elements named ``name``, document order."""
@@ -206,25 +230,11 @@ kernel.register_cache(
 )
 
 
-def _index_is_fresh(document: Document, index: DocumentIndex) -> bool:
-    """Whether a cached index still reflects its document.
-
-    An index built at mutation stamp ``s`` is stale iff the document
-    (``replace_root``) or any element *it indexed* mutated after ``s``.
-    Elements added after the build necessarily hang off a mutated
-    indexed parent (or a replaced root), so scanning ``index.order``
-    plus the document stamp is complete.
-    """
-    if document.mutation_version > index.stamp:
-        return False
-    return index.fresh_at(index.stamp)
-
-
 def _structure_intact(index: DocumentIndex, mutated: list[int]) -> bool:
     """Whether the mutated elements kept their indexed child lists.
 
     Every structural edit (``append_child`` / ``insert_child`` /
-    ``remove_child`` / ``set_content``) stamps the parent whose child
+    ``remove_child`` / ``set_content``) journals the parent whose child
     list changed, and element names are immutable -- so if each
     mutated element's current children are identity-equal to the
     positions the index recorded, only *content* changed
@@ -250,19 +260,15 @@ def _structure_intact(index: DocumentIndex, mutated: list[int]) -> bool:
     return True
 
 
-def document_index(document: Document) -> DocumentIndex:
-    """The (cached, mutation-validated) index of a document.
+def lookup_index(document: Document) -> tuple[DocumentIndex, str]:
+    """:func:`document_index` plus what the cache did to answer it.
 
-    Keyed weakly on the document object: re-indexing the same held
-    document is a dict probe, and dropped documents free their index.
-    A hit is validated against the global mutation clock -- O(1) when
-    nothing in the process mutated since the build (the overwhelmingly
-    common case); one scan re-arms that fast path after unrelated
-    mutations.  An edit of this document invalidates and rebuilds
-    (counted as ``invalidations``) unless it was content-only
-    (``set_text`` / ``set_attribute``), in which case the structural
-    arrays are still exact and the index re-arms in place (counted as
-    ``content_rearms``).
+    The outcome is ``"hit"`` (including a re-arm after unrelated
+    edits), ``"content-rearm"``, ``"invalidated"`` (rebuilt after an
+    edit), ``"miss"`` (first build) or ``"stored"`` (a store-backed
+    document's own index, outside this cache).  Callers that report
+    per-evaluation hit counts read it here instead of diffing the
+    process-wide counters, which concurrent evaluations move too.
     """
     global _index_hits, _index_misses, _index_invalidations
     global _index_content_rearms
@@ -272,34 +278,57 @@ def document_index(document: Document) -> DocumentIndex:
     # imports repro.store.
     stored = getattr(document, "stored_index", None)
     if stored is not None:
-        return stored()
+        return stored(), "stored"
     with _INDEX_LOCK:
         index = _INDEX_CACHE.get(document)
         if index is not None:
             stamp = mutation_stamp()
             if stamp == index.stamp:
                 _index_hits += 1
-                return index
-            if _index_is_fresh(document, index):
-                # Mutations elsewhere in the process; this document is
-                # untouched.  Re-arm the O(1) fast path at today's stamp.
-                index.stamp = stamp
-                _index_hits += 1
-                return index
-            if document.mutation_version <= index.stamp:
-                built = index.stamp
-                mutated = [
-                    pos
-                    for pos, el in enumerate(index.order)
-                    if el.mutation_version > built
-                ]
+                return index, "hit"
+            # An index is stale iff the document (``replace_root``) or
+            # an element *it indexed* was edited since its stamp:
+            # elements added after the build hang off an edited indexed
+            # parent (or a replaced root), so looking the journalled
+            # objects up in the index is complete.
+            changed = mutated_since(index.stamp)
+            if changed is not None and not any(
+                obj is document for obj in changed
+            ):
+                mutated = index.touched(changed)
+                if not mutated:
+                    # Edits elsewhere in the process; this document is
+                    # untouched.  Re-arm the O(1) fast path.
+                    index.stamp = stamp
+                    _index_hits += 1
+                    return index, "hit"
                 if _structure_intact(index, mutated):
                     index.stamp = stamp
                     _index_content_rearms += 1
-                    return index
+                    return index, "content-rearm"
             _index_invalidations += 1
+            outcome = "invalidated"
         else:
             _index_misses += 1
+            outcome = "miss"
         index = DocumentIndex(document)
         _INDEX_CACHE[document] = index
-        return index
+        return index, outcome
+
+
+def document_index(document: Document) -> DocumentIndex:
+    """The (cached, mutation-validated) index of a document.
+
+    Keyed weakly on the document object: re-indexing the same held
+    document is a dict probe, and dropped documents free their index.
+    A hit is validated against the global mutation clock -- O(1) when
+    nothing in the process mutated since the build (the overwhelmingly
+    common case).  Otherwise the mutation journal names the few
+    objects edited since: none of them indexed re-arms the fast path;
+    content-only edits of indexed elements (``set_text`` /
+    ``set_attribute``) leave the structural arrays exact, so the index
+    re-arms in place (counted as ``content_rearms``); any other edit of
+    this document -- or a journal that no longer reaches back to the
+    index's stamp -- rebuilds it (counted as ``invalidations``).
+    """
+    return lookup_index(document)[0]

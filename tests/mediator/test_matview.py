@@ -16,7 +16,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.dtd import validate_document
+from repro.dtd import dtd, validate_document
 from repro.mediator import (
     FakeClock,
     FanoutPolicy,
@@ -30,6 +30,7 @@ from repro.mediator import matview
 from repro.mediator.matview import estimate_bytes
 from repro.regex import kernel
 from repro.regex.language import clear_caches
+from repro.workloads import bibdb
 from repro.workloads.flaky import (
     branch_query,
     build_flaky_federation,
@@ -38,6 +39,7 @@ from repro.workloads.flaky import (
 )
 from repro.xmas import evaluate_many, parse_query
 from repro.xmlmodel import elem, serialize_document, text_elem
+from repro.xmlmodel.element import JOURNAL_SIZE
 
 VIEW = "journals"
 
@@ -211,20 +213,95 @@ class TestDeltaMaintenance:
         assert maintained is not held
         assert serialize_document(held) == before
 
-    def test_two_dirty_documents_invalidate(self):
+    def test_two_dirty_documents_splice(self):
+        # Both dirty documents are re-evaluated and spliced into one new
+        # root in a single delta; nothing is invalidated.
         mediator = federation(n_docs=3)
         mediator.materialize_union(VIEW)
         docs = mediator.sources["site0"].documents
         docs[0].root.append_child(elem("entry", journal_publication("a")))
         docs[1].root.append_child(elem("entry", journal_publication("b")))
         answer = mediator.materialize_union(VIEW)
-        assert answer.cache == "miss"
+        assert answer.cache == "delta"
         info = mediator.matview.info()
-        assert info["invalidations"] == 1
-        assert info["deltas"] == 0
+        assert info["deltas"] == 1
+        assert info["invalidations"] == 0
         assert serialize_document(answer) == serialize_document(
             cold_answer(mediator)
         )
+
+    def test_dirty_documents_across_legs_splice(self):
+        # Dirty documents under different sources shift each other's
+        # offsets; a later edit must still land in the right slice.
+        mediator = federation(n_docs=2)
+        mediator.materialize_union(VIEW)
+        added = {}
+        for name in ("site0", "site2"):
+            document = mediator.sources[name].documents[-1]
+            added[name] = journal_publication(f"new-{name}")
+            document.root.append_child(elem("entry", added[name]))
+        spliced = mediator.materialize_union(VIEW)
+        assert spliced.cache == "delta"
+        # site2's slice moved right by site0's new pick
+        added["site2"].children[0].set_text("retitled")
+        again = mediator.materialize_union(VIEW)
+        assert again.cache == "delta"
+        assert mediator.matview.info()["invalidations"] == 0
+        assert serialize_document(again) == serialize_document(
+            cold_answer(mediator)
+        )
+
+    def test_splice_rechecks_the_root_word_only_when_it_changed(
+        self, monkeypatch
+    ):
+        # A content edit keeps every slice's element names, so the
+        # root's child word is the one already accepted; removing a
+        # pick changes the word, and it is re-validated.
+        seen = []
+        check = MatViewCache._splice_validates
+
+        def spy(root, new_children, schema, word_changed):
+            seen.append(word_changed)
+            return check(root, new_children, schema, word_changed)
+
+        monkeypatch.setattr(
+            MatViewCache, "_splice_validates", staticmethod(spy)
+        )
+        mediator = federation()
+        mediator.materialize_union(VIEW)
+        document, publication = find_journal_pick(mediator)
+        publication.children[0].set_text("retitled")
+        assert mediator.materialize_union(VIEW).cache == "delta"
+        parent_of(document, publication).remove_child(publication)
+        answer = mediator.materialize_union(VIEW)
+        assert answer.cache == "delta"
+        assert seen == [False, True]
+        assert serialize_document(answer) == serialize_document(
+            cold_answer(mediator)
+        )
+
+    def test_changed_root_word_is_validated(self):
+        # A changed child word the view DTD rejects fails the splice
+        # check (the MED007 fallback); an unchanged word is the one the
+        # previous master was accepted with.
+        schema = dtd({"list": "item, item", "item": "#PCDATA"})
+        root = elem("list", text_elem("item", "a"))
+        assert not MatViewCache._splice_validates(root, [], schema, True)
+        assert MatViewCache._splice_validates(root, [], schema, False)
+
+    def test_journal_overflow_recomputes(self):
+        # More edits since the entry's stamp than the journal remembers:
+        # the cache cannot know what changed, so it recomputes.
+        mediator = federation()
+        mediator.materialize_union(VIEW)
+        document, publication = find_journal_pick(mediator)
+        for count in range(JOURNAL_SIZE + 1):
+            publication.children[0].set_text(f"burst-{count}")
+        answer = mediator.materialize_union(VIEW)
+        assert answer.cache == "miss"
+        assert mediator.matview.info()["invalidations"] == 1
+        assert f"burst-{JOURNAL_SIZE}" in serialize_document(answer)
+        assert mediator.materialize_union(VIEW).cache == "hit"
 
     def test_document_list_change_invalidates(self):
         # Appending to source.documents moves no mutation clock; the
@@ -276,9 +353,11 @@ class TestDeltaMaintenance:
         assert "landed mid-flight" in serialize_document(final)
 
     def test_detached_subtree_mutated_then_reattached(self):
-        # The cache's freshness scan walks the entry's *built* index,
-        # so an off-tree edit alone re-arms; the re-attach dirties the
-        # parent and the maintained answer carries the edit.
+        # The cache looks journalled edits up in the entry's *built*
+        # indexes, so an off-tree edit alone re-arms; the re-attach
+        # dirties the parent and the maintained answer carries the edit.
+        # A later edit of the re-attached subtree must be seen too: the
+        # index rebuilt by the re-attach holds the element.
         mediator = federation()
         mediator.materialize_union(VIEW)
         document, publication = find_journal_pick(mediator)
@@ -293,6 +372,13 @@ class TestDeltaMaintenance:
         assert answer.cache == "delta"
         assert "edited off-tree" in serialize_document(answer)
         assert serialize_document(answer) == serialize_document(
+            mediator.materialize_union(VIEW, cache=False)
+        )
+        publication.children[0].set_text("edited on-tree again")
+        again = mediator.materialize_union(VIEW)
+        assert again.cache == "delta"
+        assert "edited on-tree again" in serialize_document(again)
+        assert serialize_document(again) == serialize_document(
             cold_answer(mediator)
         )
 
@@ -793,3 +879,128 @@ class TestServedText:
         repeat = mediator.materialize_union(VIEW)
         assert repeat.cache == "hit"
         assert repeat.text == serialize_document(repeat)
+
+
+class TestJournalDifferential:
+    """Property test: random edits of several documents, reads between.
+
+    Every read served through the cache must be byte-equal to a
+    ``cache=False`` recompute, and every hit's text must be its own
+    serialization, whatever the cache did (hit, re-arm, multi-document
+    delta, invalidation, journal overflow).
+    """
+
+    OPS = [
+        "set_text",
+        "append_child",
+        "remove_child",
+        "move",
+        "edit_moved",
+        "replace_root",
+        "noise",
+    ]
+
+    @staticmethod
+    def union_federation():
+        return federation(n_docs=2), VIEW, "publication"
+
+    @staticmethod
+    def sharded_federation():
+        mediator = bibdb.sharded_federation(
+            n_sources=2, n_shards=2, n_docs=4, cache=MatViewPolicy()
+        )
+        return mediator, "journalArticles", "article"
+
+    @staticmethod
+    def apply(documents, pick_name, moved, op, pick, count=1):
+        """One edit; structural edits target elements named like the
+        view's picks, so they change pick counts and shift offsets.
+        ``moved`` holds the last element moved between documents."""
+        document = documents[pick % len(documents)]
+        candidates = [
+            (parent, child)
+            for parent in document.root.iter()
+            for child in parent.children
+            if child.name == pick_name
+        ]
+        if op == "replace_root":
+            document.replace_root(document.root.deep_copy(fresh_ids=True))
+            return
+        if op in ("append_child", "remove_child", "move") and candidates:
+            parent, child = candidates[pick % len(candidates)]
+            if op == "append_child":
+                parent.append_child(child.deep_copy(fresh_ids=True))
+            elif op == "remove_child":
+                parent.remove_child(child)
+            else:
+                target = documents[(pick + 1) % len(documents)]
+                homes = [
+                    home
+                    for home in target.root.iter()
+                    if any(kid.name == pick_name for kid in home.children)
+                ]
+                parent.remove_child(child)
+                (homes[pick % len(homes)] if homes else parent).append_child(
+                    child
+                )
+                moved[:] = [child]
+            return
+        source = moved[0] if op == "edit_moved" and moved else document.root
+        leaves = [el for el in source.iter() if el.is_pcdata]
+        if op == "noise" or not leaves:
+            leaf = text_elem("title", "off-tree")
+        else:
+            leaf = leaves[pick % len(leaves)]
+        for step in range(count):
+            leaf.set_text(f"text-{pick}-{step}")
+
+    @settings(
+        max_examples=40,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(
+        sharded=st.booleans(),
+        steps=st.lists(
+            st.tuples(
+                st.sampled_from(OPS),
+                st.integers(min_value=0, max_value=10_000),
+                st.integers(min_value=0, max_value=10_000),
+            ),
+            min_size=1,
+            max_size=8,
+        ),
+        burst_at=st.integers(min_value=0, max_value=6),
+    )
+    def test_cached_reads_equal_uncached(self, sharded, steps, burst_at):
+        clear_caches()
+        mediator, view, pick_name = (
+            self.sharded_federation() if sharded else self.union_federation()
+        )
+        mediator.materialize_union(view)
+        # One burst longer than the journal, somewhere in the sequence.
+        steps = list(steps)
+        burst = burst_at % (len(steps) + 1)
+        steps.insert(burst, ("set_text", burst_at, burst_at))
+        moved: list = []
+        for index, (op, doc_pick, pick) in enumerate(steps):
+            documents = [
+                document
+                for name in sorted(mediator.sources)
+                for document in mediator.sources[name].documents
+            ]
+            count = JOURNAL_SIZE + 1 if index == burst else 1
+            self.apply(documents, pick_name, moved, op, doc_pick, count)
+            if pick % 2:
+                # a second document edited before the same read
+                self.apply(documents, pick_name, moved, op, doc_pick + 1)
+            answer = mediator.materialize_union(view)
+            oracle = mediator.materialize_union(view, cache=False)
+            assert serialize_document(answer) == serialize_document(oracle)
+            assert answer.text is None or answer.text == serialize_document(
+                answer
+            )
+            hit = mediator.materialize_union(view)
+            assert hit.cache == "hit"
+            assert hit.text == serialize_document(hit)
+            assert hit.text == serialize_document(oracle)

@@ -10,6 +10,8 @@ a union over N sources costs the **max**, not the sum, of its legs.
 
 from __future__ import annotations
 
+import sys
+
 import pytest
 
 from repro import obs
@@ -316,6 +318,21 @@ class TestDeterminism:
         for key in ("degradation", "health", "stats", "elapsed"):
             assert first[key] == second[key], key
         assert first["trace"] == second["trace"]
+
+    def test_repeated_runs_identical_under_preemption(self):
+        # A tiny switch interval preempts fan-out legs mid-evaluation.
+        # Each evaluation's index hit/miss counts (trace attributes)
+        # must be its own, not the process-wide counters that
+        # concurrent legs move too.
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            first = self.run_once(4)
+            second = self.run_once(4)
+        finally:
+            sys.setswitchinterval(interval)
+        assert first["trace"] == second["trace"]
+        assert first["stats"] == second["stats"]
 
     def test_trace_children_follow_dispatch_order(self):
         # Leg spans are pre-created on the dispatching thread, so the
